@@ -53,8 +53,10 @@ ARTIFACT_VERSIONS: dict[str, int] = {
     "profile": 1,
     "suite": 1,
     "suite-task": 1,  # per-task suite checkpoints (crash/interrupt resume)
+    "suite-shard": 1,  # v1: victim-counter state without the "last" array
     "trace": 1,  # chunked trace files (repro.profiling.tracestore format v1)
     "serve-result": 1,  # repro.serve job results for uploaded-trace jobs
+    "native": 1,  # compiled simulator kernel (repro.simulators.native)
 }
 
 _ENV_DIR = "REPRO_CACHE_DIR"

@@ -20,7 +20,10 @@ Schema (``schema_version`` 1): a single JSON object with
   failures);
 * ``events`` — ordered retry / failure / stall / pool-degradation
   records;
-* ``cache`` — :class:`repro.cache.CacheStats` deltas over the run.
+* ``cache`` — :class:`repro.cache.CacheStats` deltas over the run;
+* ``simulator_backend`` (suite runs) — :func:`repro.simulators.native.status`:
+  ``backend`` (``native``/``python``), the fallback ``reason``, the
+  kernel's ``build_s`` and ``source_sha256``.
 """
 
 from __future__ import annotations

@@ -61,6 +61,7 @@ from repro.simulators import (
     TraceCacheStream,
     count_misses,
     miss_counter,
+    native,
     run_fused,
     simulate_fetch,
     simulate_trace_cache,
@@ -775,6 +776,9 @@ def compute_suite(
         n_tasks=len(tasks),
         cache=cache,
     )
+    # build or load the simulator kernel here, before any worker forks,
+    # so workers inherit it; the manifest names the backend that ran
+    runlog.data["simulator_backend"] = native.status()
 
     results: dict[_Task, dict] = {}
     if checkpointing:

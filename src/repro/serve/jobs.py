@@ -40,6 +40,7 @@ from repro.experiments.runlog import RunLog
 from repro.experiments.suite import compute_suite, suite_cache_key, suite_for
 from repro.profiling.tracestore import TraceStore
 from repro.serve.codec import JobSpec, result_digest, serialize_suite
+from repro.simulators import native
 from repro.tpcd.workload import Workload
 
 __all__ = [
@@ -397,4 +398,5 @@ class JobManager:
                 "max": max(self._exec_seconds, default=0.0),
             },
             "cache": self._cache.stats.as_dict(),
+            "simulator_backend": native.status(),
         }

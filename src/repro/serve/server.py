@@ -7,7 +7,8 @@ method    path                   behaviour
 ========  =====================  ==========================================
 GET       /healthz               liveness probe
 GET       /v1/metrics            queue depth, job/dedupe counters, cache
-                                 stats, execution latency percentiles
+                                 stats, execution latency percentiles,
+                                 simulator backend (native or python)
 POST      /v1/traces             RTRC trace upload (raw body, streamed to
                                  disk); 200 with ``trace_id``, 400 for a
                                  malformed trace — nothing partial stored

@@ -12,11 +12,14 @@ are then evaluated vectorized over that stream
 (:func:`repro.simulators.icache.count_misses`).
 
 Implementation: the trace is expanded to instruction-level NumPy arrays in
-bounded chunks (memory stays flat for arbitrarily long traces). For every
-instruction position the fetch length is computed vectorized; the actual
-fetch boundaries are the orbit of position 0 under ``p -> p + n[p]``,
-extracted by a vectorized jump-table traversal (:func:`_orbit_starts`)
-that walks all taken-branch-delimited segments in lockstep.
+bounded chunks (memory stays flat for arbitrarily long traces). The native
+kernel (:mod:`repro.simulators.native`) walks each chunk fetch by fetch,
+computing each fetch length only where a fetch starts. The NumPy fallback
+computes the fetch length of every instruction position vectorized
+(:func:`_fetch_lengths`); the actual fetch boundaries are the orbit of
+position 0 under ``p -> p + n[p]``, extracted by a vectorized jump-table
+traversal (:func:`_orbit_starts`) that walks all taken-branch-delimited
+segments in lockstep.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.cfg.blocks import INSTR_BYTES, BlockKind
 from repro.cfg.layout import Layout
 from repro.cfg.program import Program
 from repro.profiling.trace import SEPARATOR, BlockTrace
+from repro.simulators import native
 
 __all__ = [
     "ChunkContext",
@@ -271,22 +275,30 @@ def _fetch_lengths(chunk: _Chunk, line_instrs: int) -> np.ndarray:
     return until_taken
 
 
+def kernel_arrays(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's arrays as the native kernel takes them (no copy when
+    they already are int64/bool and contiguous)."""
+    return (
+        np.ascontiguousarray(chunk.addr, dtype=np.int64),
+        np.ascontiguousarray(chunk.is_branch, dtype=bool),
+        np.ascontiguousarray(chunk.is_taken, dtype=bool),
+    )
+
+
+def seq3_geometry(line_bytes: int) -> dict:
+    """SEQ.3 parameters of the native walks, read at call time."""
+    return {
+        "line_bytes": line_bytes,
+        "line_instrs": line_bytes // INSTR_BYTES,
+        "instr_shift": INSTR_BYTES.bit_length() - 1,
+        "width": FETCH_WIDTH,
+        "blimit": BRANCH_LIMIT,
+    }
+
+
 #: Lockstep rounds after which the few remaining long segments finish scalar.
 _ORBIT_SCALAR_CUTOFF_ROUNDS = 64
 _ORBIT_SCALAR_CUTOFF_ACTIVE = 32
-
-
-def _orbit_starts_scalar(lengths: np.ndarray) -> np.ndarray:
-    """Reference orbit of 0 under ``p -> p + lengths[p]`` (scalar walk)."""
-    n = lengths.shape[0]
-    length_list = lengths.tolist()
-    starts: list[int] = []
-    append = starts.append
-    p = 0
-    while p < n:
-        append(p)
-        p += length_list[p]
-    return np.asarray(starts, dtype=np.int64)
 
 
 def _orbit_starts(lengths: np.ndarray, is_taken: np.ndarray) -> np.ndarray:
@@ -299,7 +311,7 @@ def _orbit_starts(lengths: np.ndarray, is_taken: np.ndarray) -> np.ndarray:
     after the previous taken branch. All segments are walked in lockstep —
     one gather per fetch — and the visited mask yields the starts already
     in stream order. Rare pathological segments (thousands of short
-    fetches back to back) are finished with the scalar walk.
+    fetches back to back) are finished with a scalar walk.
     """
     n = lengths.shape[0]
     if n == 0:
@@ -359,21 +371,32 @@ class FetchStream:
         self.n_taken = 0
         self.line_chunks: list[np.ndarray] | None = [] if collect_lines else None
 
-    def feed(self, chunk: _Chunk, lengths: np.ndarray) -> None:
-        """Consume one expanded chunk; ``lengths`` from :func:`_fetch_lengths`."""
+    def feed(self, chunk: _Chunk, lengths: np.ndarray | None = None) -> None:
+        """Consume one expanded chunk.
+
+        The native kernel walks the chunk itself. The NumPy fallback uses
+        ``lengths`` from :func:`_fetch_lengths` for this stream's line
+        size (computed here when not given).
+        """
         n = chunk.addr.shape[0]
         self.n_instructions += n
         self.n_taken += int(chunk.is_taken.sum())
-        start_arr = _orbit_starts(lengths, chunk.is_taken)
-        self.n_fetches += start_arr.shape[0]
-        first_line = chunk.addr[start_arr]
-        if self.line_bytes & (self.line_bytes - 1) == 0:
-            first_line >>= self.line_bytes.bit_length() - 1
+        kernel = native.active()
+        if kernel is not None:
+            lines = kernel.fetch_walk(*kernel_arrays(chunk), **seq3_geometry(self.line_bytes))
         else:
-            first_line //= self.line_bytes
-        lines = np.empty(2 * start_arr.shape[0], dtype=np.int64)
-        lines[0::2] = first_line
-        lines[1::2] = first_line + 1
+            if lengths is None:
+                lengths = _fetch_lengths(chunk, self.line_bytes // INSTR_BYTES)
+            start_arr = _orbit_starts(lengths, chunk.is_taken)
+            first_line = chunk.addr[start_arr]
+            if self.line_bytes & (self.line_bytes - 1) == 0:
+                first_line >>= self.line_bytes.bit_length() - 1
+            else:
+                first_line //= self.line_bytes
+            lines = np.empty(2 * start_arr.shape[0], dtype=np.int64)
+            lines[0::2] = first_line
+            lines[1::2] = first_line + 1
+        self.n_fetches += lines.shape[0] // 2
         for consumer in self.consumers:
             consumer.feed(lines)
         if self.line_chunks is not None:
@@ -398,9 +421,7 @@ def simulate_fetch(
     chunk_events: int = _DEFAULT_CHUNK_EVENTS,
 ) -> FetchResult:
     """Run the SEQ.3 fetch unit over a trace under a layout."""
-    line_instrs = line_bytes // INSTR_BYTES
     stream = FetchStream(layout.name, line_bytes=line_bytes, collect_lines=True)
     for ctx in iter_chunk_contexts(trace, program, chunk_events):
-        chunk = expand_chunk(ctx, layout)
-        stream.feed(chunk, _fetch_lengths(chunk, line_instrs))
+        stream.feed(expand_chunk(ctx, layout))
     return stream.result()

@@ -7,8 +7,11 @@ configurations are attached miss counters. This driver runs any number of
 such streams — across layouts and configurations — in a *single* pass
 over the trace: each window of events is expanded to the
 layout-independent :class:`~repro.simulators.fetch.ChunkContext` once,
-then for each distinct layout the per-layout instruction arrays and SEQ.3
-fetch lengths are computed once and fed to every stream of that layout.
+then for each distinct layout the per-layout instruction arrays are
+computed once and fed to every stream of that layout. With the native
+kernel each stream's walk computes SEQ.3 fetch lengths where it visits;
+on the NumPy fallback the per-instruction lengths are computed once per
+line size and shared.
 
 Peak memory is one window's expansion regardless of how many streams are
 fused: layouts are processed sequentially per window and the expansion is
@@ -24,6 +27,7 @@ from collections.abc import Sequence
 from repro.cfg.blocks import INSTR_BYTES
 from repro.cfg.layout import Layout
 from repro.cfg.program import Program
+from repro.simulators import native
 from repro.simulators.fetch import _fetch_lengths, expand_chunk, iter_chunk_contexts
 
 __all__ = ["run_fused"]
@@ -44,8 +48,8 @@ def run_fused(
     on-disk :class:`~repro.profiling.tracestore.TraceStore`. Streams are
     mutated in place; read their counters or ``result()`` afterwards.
     Streams sharing the same layout *object* share the per-window
-    expansion, and among those, streams with equal ``line_bytes`` share
-    the SEQ.3 fetch-length computation.
+    expansion, and on the NumPy fallback, streams with equal
+    ``line_bytes`` among those share the SEQ.3 fetch-length computation.
 
     ``start_event``/``stop_event`` restrict the pass to that event slice
     of the trace; the sharded engine (:mod:`repro.simulators.sharded`)
@@ -71,10 +75,11 @@ def run_fused(
         for layout, streams in groups:
             chunk = expand_chunk(ctx, layout)
             lengths_for: dict[int, object] = {}
+            share_lengths = native.active() is None
             for stream in streams:
                 line_bytes = stream.line_bytes
                 lengths = lengths_for.get(line_bytes)
-                if lengths is None:
+                if lengths is None and share_lengths:
                     lengths = _fetch_lengths(chunk, line_bytes // INSTR_BYTES)
                     lengths_for[line_bytes] = lengths
                 stream.feed(chunk, lengths)

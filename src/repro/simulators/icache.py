@@ -5,28 +5,31 @@ one array or a list of chunk arrays. Chunks are processed one at a time
 with per-set state carried across chunk boundaries, so the stream is never
 concatenated (peak memory stays one chunk). Three organizations:
 
-* direct-mapped — fully vectorized (stable argsort groups accesses by set;
-  a miss is a tag change within the group, or against the carried tag at
-  the chunk boundary);
+* direct-mapped — a native tag loop, or fully vectorized (stable argsort
+  groups accesses by set; a miss is a tag change within the group, or
+  against the carried tag at the chunk boundary);
 * 2-way set associative, LRU — vectorized via the run-compression identity:
   within one set's access stream with consecutive duplicates removed, the
   cache holds exactly the previous two distinct lines, so access ``j`` hits
   iff it equals the compressed stream's entry ``j-2`` (the carried last two
   compressed entries extend the identity across chunks);
 * direct-mapped + fully associative victim cache (16 lines) — stateful
-  swap behaviour. The stream is first run-compressed per set (a repeat of
-  the immediately preceding access to the same set always hits the primary
-  slot and changes no state), then the surviving accesses — typically a
-  small fraction — run through the explicit swap loop.
+  swap behaviour, a native loop. The fallback first run-compresses the
+  stream per set against the primary slot (every access leaves its line
+  primary, so a repeat of the preceding access to a set is a primary hit
+  that changes no state), then runs the surviving accesses — typically a
+  small fraction — through the explicit swap loop.
 
 Each model is an incremental counter object (:func:`miss_counter`) with a
 ``feed(lines)`` method, so the fused multi-configuration driver can push
 one chunk of lines through many configurations in a single pass over the
 trace. :func:`count_misses` is the one-shot wrapper over the same
 counters — chunked and whole-stream counts are identical by construction.
+The loop-literal references are in :mod:`repro.validate.oracles`.
 
-:func:`simulate_victim_cache` keeps the original one-shot scalar loop as
-the reference implementation; :func:`count_misses` uses the batched path.
+The native loops (:mod:`repro.simulators.native`) and the NumPy/Python
+fallback keep the same carried state, so ``state_dict()`` is the same on
+either backend and a counter may switch between them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.simulators import native
+
 __all__ = [
     "CacheConfig",
     "count_misses",
@@ -43,7 +48,6 @@ __all__ = [
     "counter_from_state",
     "counter_spec",
     "miss_counter",
-    "simulate_victim_cache",
 ]
 
 
@@ -160,6 +164,12 @@ class _DirectMappedCounter(_MissCounter):
         self._head = np.full(n_sets, -1, dtype=np.int64) if record_journal else None
 
     def _feed(self, lines: np.ndarray) -> None:
+        kernel = native.active()
+        if kernel is not None:
+            self.misses += kernel.dm_feed(
+                np.ascontiguousarray(lines, dtype=np.int64), self._tags, self._head
+            )
+            return
         tags = self._tags
         _, sorted_sets, sorted_lines, first = _group_sorted(lines, tags.shape[0])
         miss = np.empty(lines.shape[0], dtype=bool)
@@ -299,36 +309,45 @@ class _TwoWayLRUCounter(_MissCounter):
 
 
 class _VictimCounter(_MissCounter):
-    """Batched victim-cache simulation over chunked streams.
+    """Victim-cache simulation over chunked streams.
 
-    Vectorized per-set run compression removes the accesses that repeat the
-    immediately preceding access to the same set — always primary hits with
-    no state change — before the stateful swap loop.
+    The buffer is an int64 array, oldest line first, with room for one
+    line past ``capacity``. The fallback's vectorized per-set run
+    compression against the primary slots removes the accesses that
+    repeat the preceding access to the same set — always primary hits
+    with no state change — before the stateful swap loop.
     """
 
-    __slots__ = ("_last", "_primary", "_victim", "_capacity")
+    __slots__ = ("_primary", "_vbuf", "_vlen", "_capacity")
 
     kind = "victim"
 
     def __init__(self, n_sets: int, capacity: int) -> None:
         super().__init__()
-        self._last = np.full(n_sets, -1, dtype=np.int64)
         self._primary = np.full(n_sets, -1, dtype=np.int64)
-        self._victim: dict[int, None] = {}
+        self._vbuf = np.zeros(capacity + 1, dtype=np.int64)
+        self._vlen = 0
         self._capacity = capacity
 
     def _feed(self, lines: np.ndarray) -> None:
-        last, primary, victim = self._last, self._primary, self._victim
-        n_sets = last.shape[0]
+        kernel = native.active()
+        if kernel is not None:
+            misses, self._vlen = kernel.victim_feed(
+                np.ascontiguousarray(lines, dtype=np.int64),
+                self._primary, self._vbuf, self._vlen, self._capacity,
+            )
+            self.misses += misses
+            return
+        primary = self._primary
+        victim = dict.fromkeys(self._vbuf[: self._vlen].tolist())
+        n_sets = primary.shape[0]
         capacity = self._capacity
         misses = 0
         order, sorted_sets, sorted_lines, first = _group_sorted(lines, n_sets)
         keep_sorted = np.empty(lines.shape[0], dtype=bool)
         keep_sorted[1:] = first[1:] | (sorted_lines[1:] != sorted_lines[:-1])
         first_idx = np.flatnonzero(first)
-        keep_sorted[first_idx] = sorted_lines[first_idx] != last[sorted_sets[first_idx]]
-        last_idx = np.concatenate((first_idx[1:] - 1, [lines.shape[0] - 1]))
-        last[sorted_sets[last_idx]] = sorted_lines[last_idx]
+        keep_sorted[first_idx] = sorted_lines[first_idx] != primary[sorted_sets[first_idx]]
         # back to stream order: the compressed accesses interleave across
         # sets exactly as in the original stream
         keep = np.zeros(lines.shape[0], dtype=bool)
@@ -354,23 +373,29 @@ class _VictimCounter(_MissCounter):
                 while len(victim) > capacity:
                     del victim[next(iter(victim))]
             primary[s] = line
+        self._set_victim(list(victim))
         self.misses += misses
+
+    def _set_victim(self, lines: list) -> None:
+        if len(lines) > self._capacity:
+            raise ValueError(f"{len(lines)} victim lines exceed capacity {self._capacity}")
+        self._vbuf[: len(lines)] = lines
+        self._vlen = len(lines)
 
     def state_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "last": self._last.copy(),
             "primary": self._primary.copy(),
-            "victim": list(self._victim),  # LRU order, oldest first
+            "victim": self._vbuf[: self._vlen].tolist(),  # LRU order, oldest first
             "capacity": self._capacity,
             "misses": self.misses,
         }
 
     def load_state(self, state: dict) -> None:
-        self._last[:] = state["last"]
         self._primary[:] = state["primary"]
-        self._victim = dict.fromkeys(state["victim"])
         self._capacity = int(state["capacity"])
+        self._vbuf = np.zeros(self._capacity + 1, dtype=np.int64)
+        self._set_victim(list(state["victim"]))
         self.misses = int(state["misses"])
 
 
@@ -384,7 +409,7 @@ def counter_spec(counter: _MissCounter) -> tuple:
     if isinstance(counter, _TwoWayLRUCounter):
         return ("lru2", counter._w0.shape[0])
     if isinstance(counter, _VictimCounter):
-        return ("victim", counter._last.shape[0], counter._capacity)
+        return ("victim", counter._primary.shape[0], counter._capacity)
     raise TypeError(f"not a miss counter: {type(counter).__name__}")
 
 
@@ -410,48 +435,8 @@ def counter_from_state(state: dict) -> _MissCounter:
     elif kind == "lru2":
         counter = _TwoWayLRUCounter(len(state["w0"]))
     elif kind == "victim":
-        counter = _VictimCounter(len(state["last"]), int(state["capacity"]))
+        counter = _VictimCounter(len(state["primary"]), int(state["capacity"]))
     else:
         raise ValueError(f"unknown counter state kind {kind!r}")
     counter.load_state(state)
     return counter
-
-
-def simulate_victim_cache(lines: np.ndarray, config: CacheConfig) -> int:
-    """Direct-mapped cache with a fully associative LRU victim buffer.
-
-    On a primary miss that hits the victim buffer, the lines swap (the
-    victim's line moves into the primary slot, the evicted primary line
-    into the buffer) and the access counts as a hit, as in Jouppi's design.
-
-    This is the reference scalar implementation; :func:`count_misses`
-    routes victim configurations through the batched equivalent.
-    """
-    from collections import OrderedDict
-
-    n_sets = config.n_sets
-    primary = np.full(n_sets, -1, dtype=np.int64)
-    victim: OrderedDict[int, None] = OrderedDict()
-    capacity = config.victim_lines
-    misses = 0
-    for line in lines.tolist():
-        s = line % n_sets
-        resident = primary[s]
-        if resident == line:
-            continue
-        if line in victim:
-            del victim[line]
-            if resident >= 0:
-                victim[resident] = None
-                while len(victim) > capacity:
-                    victim.popitem(last=False)
-            primary[s] = line
-            continue
-        misses += 1
-        if resident >= 0:
-            victim[resident] = None
-            victim.move_to_end(resident)
-            while len(victim) > capacity:
-                victim.popitem(last=False)
-        primary[s] = line
-    return misses

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cfg.program import Program
+from repro.simulators import native
 from repro.simulators.fetch import _DEFAULT_CHUNK_EVENTS, FetchStream
 from repro.simulators.fused import run_fused
 from repro.simulators.icache import (
@@ -600,6 +601,7 @@ def run_sharded(
     if todo:
         n_workers = min(max(1, jobs), len(todo))
         if n_workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            native.load()  # workers inherit the loaded kernel
             _SHARD_CTX = (
                 trace, program, layouts, chunk_events, plan, family_specs, chain_specs,
             )

@@ -14,15 +14,16 @@ stream, so one stateful simulation serves every i-cache configuration —
 and the same run reports both the trace-cache-alone and combined
 STC+trace-cache numbers of Table 4.
 
-Implementation: the outcome bitmask and third-branch distance the
-sequential walk needs are functions of the *next-branch index* of a
-position, so they are precomputed vectorized into per-branch tables
-(typically 5x smaller than the instruction stream) and the only
-per-instruction table beyond the shared SEQ.3 fetch lengths is one prefix
-count. The hot loop reads a handful of table cells per visited position.
-Cache entries persist across chunks (:class:`TraceCacheStream`); the fill
-window truncates at chunk boundaries exactly as before, so results at the
-default window match the previous implementation bit for bit.
+Implementation: the native kernel (:mod:`repro.simulators.native`) walks
+each chunk position by position, reading the few instructions after a
+visited position to check a stored trace, fill an entry, or take the
+SEQ.3 miss-path fetch. The Python fallback precomputes the outcome
+bitmask and third-branch distance as functions of the *next-branch
+index* of a position, vectorized into per-branch tables (typically 5x
+smaller than the instruction stream); beyond the shared SEQ.3 fetch
+lengths its only per-instruction table is one prefix count. Cache entries
+persist across chunks (:class:`TraceCacheStream`) in one int64 array
+shared by both backends; the fill window truncates at chunk boundaries.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cfg.blocks import INSTR_BYTES
 from repro.cfg.layout import Layout
 from repro.cfg.program import Program
 from repro.profiling.trace import BlockTrace
+from repro.simulators import native
 from repro.simulators.fetch import (
     BRANCH_LIMIT,
     FETCH_WIDTH,
@@ -42,6 +45,8 @@ from repro.simulators.fetch import (
     _fetch_lengths,
     expand_chunk,
     iter_chunk_contexts,
+    kernel_arrays,
+    seq3_geometry,
 )
 from repro.simulators.icache import CacheConfig, count_misses
 
@@ -93,7 +98,7 @@ class TraceCacheStream:
     (``consumers``) and/or collected for the one-shot
     :class:`TraceCacheResult` path.
 
-    The hot loop's lookup tables are indexed *by branch*, not by
+    The Python fallback's lookup tables are indexed *by branch*, not by
     instruction: both the outcome bitmask and the third-branch distance
     from a position ``p`` are functions of ``first_branch[p]`` alone, so
     the per-instruction vectorized work is a single prefix count and the
@@ -119,22 +124,47 @@ class TraceCacheStream:
         self.n_misses = 0
         self.n_taken = 0
         self.miss_line_chunks: list[np.ndarray] | None = [] if collect_lines else None
-        # entry: index -> (start address, outcome bitmask, n_branches, n_instr)
-        self._entries: list[tuple[int, int, int, int] | None] = [None] * config.n_entries
-        self._low_bits = [(1 << k) - 1 for k in range(config.branch_limit + 1)]
+        # entry rows: (start address, outcome bitmask, n_branches, n_instr);
+        # n_instr 0 marks an empty entry
+        self._entries = np.zeros((config.n_entries, 4), dtype=np.int64)
 
-    def feed(self, chunk: _Chunk, lengths: np.ndarray) -> None:
-        """Consume one expanded chunk; ``lengths`` from :func:`_fetch_lengths`.
+    def feed(self, chunk: _Chunk, lengths: np.ndarray | None = None) -> None:
+        """Consume one expanded chunk.
 
-        ``lengths`` must be computed for this stream's ``line_bytes`` (the
-        SEQ.3 advance on the miss path).
+        The native kernel walks the chunk itself. The Python fallback
+        takes the SEQ.3 miss-path advance from ``lengths``
+        (:func:`_fetch_lengths` for this stream's ``line_bytes``,
+        computed here when not given).
         """
+        n = chunk.addr.shape[0]
+        self.n_instructions += n
+        self.n_taken += int(chunk.is_taken.sum())
+        kernel = native.active()
+        if kernel is not None:
+            lines_arr, hits, misses = kernel.tc_walk(
+                *kernel_arrays(chunk),
+                self._entries,
+                tc_width=self.config.trace_instructions,
+                tc_blimit=self.config.branch_limit,
+                **seq3_geometry(self.line_bytes),
+            )
+        else:
+            if lengths is None:
+                lengths = _fetch_lengths(chunk, self.line_bytes // INSTR_BYTES)
+            lines_arr, hits, misses = self._walk(chunk, lengths)
+        self.n_hits += hits
+        self.n_misses += misses
+        for consumer in self.consumers:
+            consumer.feed(lines_arr)
+        if self.miss_line_chunks is not None:
+            self.miss_line_chunks.append(lines_arr)
+
+    def _walk(self, chunk: _Chunk, lengths: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Python trace-cache walk: (miss-path lines, hits, misses)."""
         config = self.config
         width = config.trace_instructions
         blimit = config.branch_limit
         n = chunk.addr.shape[0]
-        self.n_instructions += n
-        self.n_taken += int(chunk.is_taken.sum())
         is_branch = chunk.is_branch
         branch_pos = np.flatnonzero(is_branch)
         nb = int(branch_pos.size)
@@ -166,8 +196,8 @@ class TraceCacheStream:
         mask_of = mask_by_branch.data
         third_of = third_by_branch.data
 
-        entries = self._entries
-        low_bits = self._low_bits
+        entries = self._entry_list()
+        low_bits = [(1 << k) - 1 for k in range(blimit + 1)]
         n_entries = config.n_entries
         line_bytes = self.line_bytes
         hits = 0
@@ -208,13 +238,22 @@ class TraceCacheStream:
                 k = blimit
             entries[index] = (a, mask_of[fb] & low_bits[k], k, length)
             p += seq_len[p]
-        self.n_hits += hits
-        self.n_misses += misses
-        lines_arr = np.asarray(miss_lines, dtype=np.int64)
-        for consumer in self.consumers:
-            consumer.feed(lines_arr)
-        if self.miss_line_chunks is not None:
-            self.miss_line_chunks.append(lines_arr)
+        self._set_entries(entries)
+        return np.asarray(miss_lines, dtype=np.int64), hits, misses
+
+    def _entry_list(self) -> list[tuple[int, int, int, int] | None]:
+        """Entries as tuples, ``None`` for an empty one."""
+        return [tuple(row) if row[3] else None for row in self._entries.tolist()]
+
+    def _set_entries(self, entries: list) -> None:
+        if len(entries) != self.config.n_entries:
+            raise ValueError(
+                f"state has {len(entries)} entries, config wants {self.config.n_entries}"
+            )
+        self._entries = np.array(
+            [entry if entry is not None else (0, 0, 0, 0) for entry in entries],
+            dtype=np.int64,
+        ).reshape(len(entries), 4)
 
     @property
     def n_cycles_base(self) -> int:
@@ -232,20 +271,15 @@ class TraceCacheStream:
             "n_hits": self.n_hits,
             "n_misses": self.n_misses,
             "n_taken": self.n_taken,
-            "entries": list(self._entries),
+            "entries": self._entry_list(),
         }
 
     def load_state(self, state: dict) -> None:
-        entries = list(state["entries"])
-        if len(entries) != self.config.n_entries:
-            raise ValueError(
-                f"state has {len(entries)} entries, config wants {self.config.n_entries}"
-            )
+        self._set_entries(list(state["entries"]))
         self.n_instructions = int(state["n_instructions"])
         self.n_hits = int(state["n_hits"])
         self.n_misses = int(state["n_misses"])
         self.n_taken = int(state["n_taken"])
-        self._entries = entries
 
     def result(self) -> TraceCacheResult:
         return TraceCacheResult(
@@ -272,8 +306,6 @@ def simulate_trace_cache(
 ) -> TraceCacheResult:
     """Stateful trace-cache + SEQ.3 simulation over one trace."""
     stream = TraceCacheStream(layout.name, config, line_bytes=line_bytes, collect_lines=True)
-    line_instrs = line_bytes // 4
     for ctx in iter_chunk_contexts(trace, program, chunk_events):
-        chunk = expand_chunk(ctx, layout)
-        stream.feed(chunk, _fetch_lengths(chunk, line_instrs))
+        stream.feed(expand_chunk(ctx, layout))
     return stream.result()

@@ -3,8 +3,10 @@
 Three layers, in order: the differential harness (production simulators
 vs loop-literal oracles over generated cases), the metamorphic laws, and
 the paper-shape gate over a small fixed-seed workload. Exits non-zero if
-any layer finds a problem; ``--report`` writes the JSON conformance
-report CI archives as a workflow artifact.
+any layer finds a problem. The differential and metamorphic layers run
+on every available simulator backend (native kernel and NumPy/Python
+fallback). ``--report`` writes the JSON conformance report CI archives
+as a workflow artifact.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ def main(argv=None) -> None:
 
     diff = report["differential"]
     laws = report["laws"]
+    print(f"backends: {', '.join(report['backends'])}")
     print(
         f"differential: {diff['cases']} cases, {len(diff['divergences'])} divergences"
     )
@@ -67,7 +70,10 @@ def main(argv=None) -> None:
         print(f"  DIVERGENCE {divergence['counter']}: {divergence['case']}")
     print(f"metamorphic: {laws['cases']} cases, {len(laws['violations'])} violations")
     for violation in laws["violations"][:10]:
-        print(f"  VIOLATION {violation['law']} (seed {violation['seed']}): {violation['detail']}")
+        print(
+            f"  VIOLATION {violation['law']} [{violation['backend']}] "
+            f"(seed {violation['seed']}): {violation['detail']}"
+        )
     if "paper_shape" in report:
         claims = report["paper_shape"]["claims"]
         n_failed = len(report["paper_shape"]["failed"])

@@ -11,8 +11,11 @@ with a shard count derived from the case seed so coverage spans 1..n
 window partitions) — and the oracles of :mod:`repro.validate.oracles`,
 then compares every counter exactly: instruction/fetch/taken counts, the
 full line-access stream, and the miss count of each cache organization
-(batched, one-shot scalar, and oracle). Any mismatch becomes a
-:class:`Divergence` carrying the case's reproduction seed.
+(fused, sharded and batched against the oracle). :func:`run_differential`
+repeats every case on each available simulator backend (the native
+kernel and the NumPy/Python fallback, :mod:`repro.simulators.native`).
+Any mismatch becomes a :class:`Divergence` carrying the case's
+reproduction seed; its counter name starts with the backend.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from repro.simulators.fetch import FetchStream, simulate_fetch
 from repro.simulators.fused import run_fused
-from repro.simulators.icache import CacheConfig, count_misses, miss_counter, simulate_victim_cache
+from repro.simulators import native
+from repro.simulators.icache import CacheConfig, count_misses, miss_counter
 from repro.simulators.sharded import run_sharded
 from repro.simulators.tracecache import TraceCacheStream, simulate_trace_cache
 from repro.validate.generators import GeneratedCase, random_case
@@ -135,9 +139,6 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         check(f"icache.fused.{label}", counter.misses, expected)
         check(f"icache.sharded.{label}", sharded.misses, expected)
         check(f"icache.batched.{label}", count_misses(one_shot.line_chunks, config), expected)
-        if config.victim_lines:
-            all_lines = np.asarray(ora.lines, dtype=np.int64)
-            check(f"icache.scalar.{label}", simulate_victim_cache(all_lines, config), expected)
     return out
 
 
@@ -212,7 +213,8 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
 
 
 def run_differential(seed: int, n_cases: int) -> tuple[int, list[Divergence]]:
-    """Run ``n_cases`` generated cases; returns (cases run, divergences).
+    """Run ``n_cases`` generated cases on every available backend; returns
+    (cases run, divergences).
 
     Per-case seeds are spawned from ``seed`` via ``SeedSequence`` so each
     reported divergence reproduces standalone with
@@ -222,6 +224,10 @@ def run_differential(seed: int, n_cases: int) -> tuple[int, list[Divergence]]:
     divergences: list[Divergence] = []
     for case_seed in case_seeds.tolist():
         case = random_case(int(case_seed))
-        divergences.extend(diff_fetch_case(case))
-        divergences.extend(diff_trace_cache_case(case))
+        for backend in native.available_backends():
+            with native.use(backend):
+                found = diff_fetch_case(case) + diff_trace_cache_case(case)
+            for divergence in found:
+                divergence.counter = f"{backend}:{divergence.counter}"
+            divergences.extend(found)
     return n_cases, divergences

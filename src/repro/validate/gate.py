@@ -319,6 +319,7 @@ def run_validation(
     The report is JSON-serializable; ``report["passed"]`` is the overall
     verdict (zero divergences, zero law violations, every claim true).
     """
+    from repro.simulators import native
     from repro.validate.differential import run_differential
     from repro.validate.laws import run_laws
 
@@ -328,6 +329,7 @@ def run_validation(
         "schema_version": 1,
         "generated_by": "repro.validate",
         "seed": seed,
+        "backends": native.available_backends(),
         "differential": {
             "cases": n_diff,
             "divergences": [d.to_json() for d in divergences],

@@ -42,6 +42,7 @@ from repro.cfg.layout import Layout
 from repro.core.mapping import CacheGeometry, map_sequences
 from repro.profiling.trace import BlockTrace
 from repro.profiling.tracestore import TraceWriter
+from repro.simulators import native
 from repro.simulators.fetch import FetchStream, simulate_fetch
 from repro.simulators.fused import run_fused
 from repro.simulators.icache import CacheConfig, count_misses, miss_counter
@@ -498,10 +499,12 @@ def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
 
 
 def run_laws(seed: int, rounds: int = 12) -> tuple[int, list[dict]]:
-    """Run every law ``rounds`` times at each window size.
+    """Run every law ``rounds`` times at each window size; each case runs
+    on every available simulator backend.
 
     Returns ``(cases run, violations)``; each violation carries the law
-    name, the case seed and the window size for standalone reproduction.
+    name, the backend, the case seed and the window size for standalone
+    reproduction.
     """
     laws = {
         "concat_vs_chunked": None,  # needs a temp dir, handled below
@@ -518,19 +521,22 @@ def run_laws(seed: int, rounds: int = 12) -> tuple[int, list[dict]]:
         for case_seed in case_seeds.tolist():
             for chunk_events in LAW_CHUNK_EVENTS:
                 for name, law in laws.items():
-                    rng = np.random.default_rng(int(case_seed))
-                    if law is None:
-                        found = law_concat_vs_chunked(rng, tmp_dir, chunk_events)
-                    else:
-                        found = law(rng, chunk_events)
                     n_cases += 1
-                    violations.extend(
-                        {
-                            "law": name,
-                            "seed": int(case_seed),
-                            "chunk_events": chunk_events,
-                            "detail": detail,
-                        }
-                        for detail in found
-                    )
+                    for backend in native.available_backends():
+                        rng = np.random.default_rng(int(case_seed))
+                        with native.use(backend):
+                            if law is None:
+                                found = law_concat_vs_chunked(rng, tmp_dir, chunk_events)
+                            else:
+                                found = law(rng, chunk_events)
+                        violations.extend(
+                            {
+                                "law": name,
+                                "backend": backend,
+                                "seed": int(case_seed),
+                                "chunk_events": chunk_events,
+                                "detail": detail,
+                            }
+                            for detail in found
+                        )
     return n_cases, violations

@@ -18,6 +18,7 @@ from repro.experiments.suite import suite_for
 from repro.serve.client import Backpressure, ServeClient, ServeError
 from repro.serve.codec import JobSpec, canonical_json, serialize_suite
 from repro.serve.server import ServeApp
+from repro.simulators import native
 
 TINY = {"scale": 0.0002, "grid": [[8, 2]]}
 
@@ -52,6 +53,7 @@ def test_health_metrics_and_unknown_routes(tmp_path):
             metrics = await client.metrics()
             assert metrics["queue"] == {"depth": 0, "limit": 16}
             assert metrics["jobs"]["submitted"] == 0
+            assert metrics["simulator_backend"] == native.status()
             with pytest.raises(ServeError) as err:
                 await client.request_json("GET", "/v1/nope")
             assert err.value.status == 404

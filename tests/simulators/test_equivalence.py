@@ -1,42 +1,56 @@
-"""Equivalence properties for the vectorized simulator hot paths.
+"""Equivalence properties for the vectorized (NumPy fallback) hot paths.
 
-Each vectorized implementation has a scalar reference it must match
-exactly: the lockstep orbit walk vs the plain ``p -> p + lengths[p]``
-loop, and the batched/chunked cache models vs the stateful scalar models.
+Each vectorized implementation must match the loop-literal oracles of
+:mod:`repro.validate.oracles` exactly: the fetch lengths plus lockstep
+orbit walk vs the oracle's SEQ.3 walk, and the batched/chunked cache
+models vs the stateful oracle models.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulators import CacheConfig, count_misses, simulate_victim_cache
+from repro.simulators import CacheConfig, count_misses
 from repro.simulators.fetch import (
     _ORBIT_SCALAR_CUTOFF_ROUNDS,
+    _Chunk,
+    _fetch_lengths,
     _orbit_starts,
-    _orbit_starts_scalar,
 )
+from repro.validate.oracles import OracleWindow, oracle_victim, seq3_fetch_length
 
 
-def _random_stream(rng, n):
-    """Random (lengths, is_taken) satisfying the SEQ.3 orbit invariant:
-    a fetch never extends past the next taken branch."""
-    is_taken = rng.random(n) < 0.2
-    idx = np.arange(n)
-    cand = np.where(is_taken, idx, n - 1)
-    next_taken = np.minimum.accumulate(cand[::-1])[::-1]
-    limit = np.minimum(next_taken - idx + 1, 16)
-    lengths = rng.integers(1, limit + 1)
-    return lengths.astype(np.int64), is_taken
+def _random_window(rng, n):
+    """Random instruction stream: block-shaped addresses, branches at
+    block ends, a random subset of them taken."""
+    addr = np.empty(n, dtype=np.int64)
+    is_branch = np.zeros(n, dtype=bool)
+    p = 0
+    base = int(rng.integers(0, 1 << 12)) * 4
+    while p < n:
+        size = min(int(rng.integers(1, 9)), n - p)
+        addr[p : p + size] = base + 4 * np.arange(size)
+        is_branch[p + size - 1] = rng.random() < 0.7
+        base = int(rng.integers(0, 1 << 12)) * 4
+        p += size
+    is_taken = is_branch & (rng.random(n) < 0.5)
+    return addr, is_branch, is_taken
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 400))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from([16, 32, 64]))
 @settings(max_examples=60, deadline=None)
-def test_orbit_matches_scalar_walk(seed, n):
+def test_orbit_matches_scalar_walk(seed, n, line_bytes):
     rng = np.random.default_rng(seed)
-    lengths, is_taken = _random_stream(rng, n)
-    vec = _orbit_starts(lengths, is_taken)
-    ref = _orbit_starts_scalar(lengths)
-    np.testing.assert_array_equal(vec, ref)
+    addr, is_branch, is_taken = _random_window(rng, n)
+    line_instrs = line_bytes // 4
+    lengths = _fetch_lengths(_Chunk(addr, is_branch, is_taken, last=True), line_instrs)
+    window = OracleWindow(addr.tolist(), is_branch.tolist(), is_taken.tolist())
+    ref = []
+    p = 0
+    while p < n:
+        ref.append(p)
+        p += seq3_fetch_length(window, p, line_instrs)
+    np.testing.assert_array_equal(_orbit_starts(lengths, is_taken), ref)
 
 
 def test_orbit_scalar_cutoff_path():
@@ -54,9 +68,7 @@ def test_orbit_edge_cases():
     # stream ending on a taken branch leaves an empty trailing segment
     lengths = np.array([2, 1, 1], dtype=np.int64)
     is_taken = np.array([False, False, True])
-    np.testing.assert_array_equal(
-        _orbit_starts(lengths, is_taken), _orbit_starts_scalar(lengths)
-    )
+    np.testing.assert_array_equal(_orbit_starts(lengths, is_taken), [0, 2])
 
 
 @given(
@@ -87,4 +99,4 @@ def test_chunked_streams_match_whole_stream(lines, n_sets_log, seed):
 def test_batched_victim_matches_scalar_reference(lines, victim_lines):
     lines = np.asarray(lines, dtype=np.int64)
     config = CacheConfig(size_bytes=8 * 32, victim_lines=victim_lines)
-    assert count_misses(lines, config) == simulate_victim_cache(lines, config)
+    assert count_misses(lines, config) == oracle_victim(lines.tolist(), config)

@@ -9,6 +9,7 @@ proving the harness actually observes the counter it claims to check.
 import pytest
 
 import repro.simulators.fetch as fetch_mod
+from repro.simulators import native
 from repro.validate.differential import (
     diff_fetch_case,
     diff_trace_cache_case,
@@ -41,45 +42,56 @@ def _total_events(seed):
 
 def test_injected_fetch_width_bug_is_caught(monkeypatch):
     """Shrinking the production fetch width must show up as a fetch-count
-    (and usually line-stream) divergence on busy cases."""
+    (and usually line-stream) divergence on busy cases, on every backend."""
     monkeypatch.setattr(fetch_mod, "FETCH_WIDTH", 8)
-    found = []
-    for seed in _BUSY_SEEDS:
-        case = random_case(seed)
-        found.extend(diff_fetch_case(case))
-    assert found, "harness failed to notice FETCH_WIDTH=8"
-    counters = {d.counter for d in found}
-    assert any("n_fetches" in c or "lines" in c for c in counters)
+    for backend in native.available_backends():
+        found = []
+        with native.use(backend):
+            for seed in _BUSY_SEEDS:
+                found.extend(diff_fetch_case(random_case(seed)))
+        assert found, f"harness failed to notice FETCH_WIDTH=8 on {backend}"
+        counters = {d.counter for d in found}
+        assert any("n_fetches" in c or "lines" in c for c in counters)
 
 
 def test_injected_orbit_bug_is_caught(monkeypatch):
     """Dropping the last fetch of every chunk must be seen by both the
-    one-shot and the fused fetch paths."""
-    real = fetch_mod._orbit_starts
+    one-shot and the fused fetch paths, on every backend: the fallback's
+    orbit helper and the native fetch walk are each patched in turn."""
+    real_orbit = fetch_mod._orbit_starts
+    real_walk = native.Kernel.fetch_walk
 
-    def lopsided(lengths, is_taken):
-        starts = real(lengths, is_taken)
+    def lopsided_orbit(lengths, is_taken):
+        starts = real_orbit(lengths, is_taken)
         return starts[:-1] if len(starts) else starts
 
-    monkeypatch.setattr(fetch_mod, "_orbit_starts", lopsided)
-    found = []
-    for seed in _BUSY_SEEDS:
-        if _total_events(seed) == 0:
-            continue
-        found.extend(diff_fetch_case(random_case(seed)))
-    assert found, "harness failed to notice a dropped fetch"
+    def lopsided_walk(self, *args, **kwargs):
+        return real_walk(self, *args, **kwargs)[:-2]
+
+    monkeypatch.setattr(fetch_mod, "_orbit_starts", lopsided_orbit)
+    monkeypatch.setattr(native.Kernel, "fetch_walk", lopsided_walk)
+    for backend in native.available_backends():
+        found = []
+        with native.use(backend):
+            for seed in _BUSY_SEEDS:
+                if _total_events(seed) == 0:
+                    continue
+                found.extend(diff_fetch_case(random_case(seed)))
+        assert found, f"harness failed to notice a dropped fetch on {backend}"
 
 
 def test_injected_branch_limit_bug_is_caught(monkeypatch):
     """The trace-cache diff shares SEQ.3's branch limit; lowering it
-    changes fill lengths and therefore hits/misses."""
+    changes fill lengths and therefore hits/misses, on every backend."""
     monkeypatch.setattr(fetch_mod, "BRANCH_LIMIT", 1)
-    found = []
-    for seed in _BUSY_SEEDS:
-        case = random_case(seed)
-        found.extend(diff_fetch_case(case))
-        found.extend(diff_trace_cache_case(case))
-    assert found, "harness failed to notice BRANCH_LIMIT=1"
+    for backend in native.available_backends():
+        found = []
+        with native.use(backend):
+            for seed in _BUSY_SEEDS:
+                case = random_case(seed)
+                found.extend(diff_fetch_case(case))
+                found.extend(diff_trace_cache_case(case))
+        assert found, f"harness failed to notice BRANCH_LIMIT=1 on {backend}"
 
 
 @pytest.mark.parametrize("seed", [0, 42])

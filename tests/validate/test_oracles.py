@@ -15,7 +15,7 @@ from repro.cfg.layout import Layout
 from repro.cfg.program import ProgramBuilder
 from repro.profiling.trace import SEPARATOR, BlockTrace
 from repro.simulators.fetch import simulate_fetch
-from repro.simulators.icache import CacheConfig, count_misses, simulate_victim_cache
+from repro.simulators.icache import CacheConfig, count_misses
 from repro.simulators.tracecache import TraceCacheConfig, simulate_trace_cache
 from repro.validate.generators import random_case
 from repro.validate.oracles import (
@@ -83,7 +83,6 @@ def test_icache_counters_match_oracle(seed):
     assert count_misses(chunks, two_way) == oracle_two_way_lru(lines, two_way)
     expected_victim = oracle_victim(lines, victim)
     assert count_misses(chunks, victim) == expected_victim
-    assert simulate_victim_cache(np.asarray(lines, dtype=np.int64), victim) == expected_victim
 
 
 def _straight_line_program(n_blocks, block_size=4):
