@@ -14,7 +14,6 @@ Run: ``PYTHONPATH=src python benchmarks/perf_smoke.py [--scale 0.001] [--jobs N]
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import resource
@@ -25,7 +24,6 @@ from repro.experiments.config import KB, PRIMARY_ROWS
 from repro.experiments.harness import get_workload, layouts_for, resolve_jobs
 from repro.experiments.suite import compute_suite
 from repro.profiling import TraceStore
-from repro.simulators import sharded as sharded_mod
 from repro.simulators import (
     CacheConfig,
     FetchStream,
@@ -83,100 +81,7 @@ def _trace_format_stats(trace, n_instructions: int) -> dict | None:
     }
 
 
-def _suite_fingerprint(suite) -> tuple:
-    """Every number a suite run produces, in a comparable shape."""
-    cells = tuple(
-        (row, name, dataclasses.astuple(m))
-        for row, cs in sorted(suite.cells.items())
-        for name, m in sorted(cs.items())
-    )
-    return (
-        suite.n_instructions,
-        cells,
-        tuple(sorted(suite.assoc_miss.items())),
-        tuple(sorted(suite.victim_miss.items())),
-        suite.tc_ideal,
-        suite.tc_hit_rate,
-        tuple(sorted(suite.tc_ipc.items())),
-        tuple(sorted(suite.tc_ops_ipc.items())),
-    )
-
-
-def _lane_makespan(durations: list[float], lanes: int) -> float:
-    """Greedy longest-first schedule of independent items onto ``lanes``."""
-    load = [0.0] * max(1, lanes)
-    for d in sorted(durations, reverse=True):
-        load[load.index(min(load))] += d
-    return max(load)
-
-
-def _measure_sharded(workload, grid, serial_suite, serial_seconds, shards, jobs) -> dict:
-    """One cold sharded suite pass, instrumented per shard job.
-
-    This box may have fewer cores than ``jobs``, so alongside the
-    measured wall clock the record carries a *modeled* ``jobs``-lane
-    makespan built from the measured per-job durations (family shard
-    jobs are independent; each relay chain is one serial item), i.e. the
-    speedup the same shard plan yields once every lane is a real core.
-    """
-    cache = default_cache()
-    cache.clear("suite-task")
-    cache.clear("suite-shard")
-    job_seconds: list[tuple[str, float]] = []
-    real_family, real_relay = sharded_mod._family_shard, sharded_mod._relay_shard
-
-    def timed_family(trace, program, layouts, chunk_events, plan, specs, shard_idx):
-        t0 = time.perf_counter()
-        out = real_family(trace, program, layouts, chunk_events, plan, specs, shard_idx)
-        job_seconds.append((f"family:{shard_idx}", time.perf_counter() - t0))
-        return out
-
-    def timed_relay(trace, program, layouts, chunk_events, plan, spec, shard_idx, state):
-        t0 = time.perf_counter()
-        out = real_relay(trace, program, layouts, chunk_events, plan, spec, shard_idx, state)
-        job_seconds.append((f"chain:{hash(spec) & 0xFFFF:04x}", time.perf_counter() - t0))
-        return out
-
-    sharded_mod._family_shard = timed_family
-    sharded_mod._relay_shard = timed_relay
-    try:
-        t0 = time.perf_counter()
-        suite = compute_suite(workload, grid, progress=True, jobs=1, shards=shards)
-        sharded_s = time.perf_counter() - t0
-    finally:
-        sharded_mod._family_shard = real_family
-        sharded_mod._relay_shard = real_relay
-
-    # family jobs parallelize freely; a relay chain is one serial item
-    chains: dict[str, float] = {}
-    items: list[float] = []
-    for key, seconds in job_seconds:
-        if key.startswith("chain:"):
-            chains[key] = chains.get(key, 0.0) + seconds
-        else:
-            items.append(seconds)
-    items.extend(chains.values())
-    busy = sum(seconds for _, seconds in job_seconds)
-    overhead = max(sharded_s - busy, 0.0)  # reconciliation + plumbing
-    lanes = max(jobs, 4)
-    makespan = _lane_makespan(items, lanes) + overhead
-    return {
-        "shards": shards,
-        "n_jobs": len(job_seconds),
-        "suite_seconds": round(sharded_s, 3),
-        "serial_suite_seconds": round(serial_seconds, 3),
-        "speedup_measured_1cpu": round(serial_seconds / sharded_s, 3) if sharded_s else 0.0,
-        "job_busy_seconds": round(busy, 3),
-        "reconcile_overhead_seconds": round(overhead, 3),
-        "modeled_lanes": lanes,
-        "modeled_makespan_seconds": round(makespan, 3),
-        "speedup_modeled": round(serial_seconds / makespan, 3) if makespan else 0.0,
-        "identical_to_serial": _suite_fingerprint(suite) == _suite_fingerprint(serial_suite),
-        "shard_job_seconds": [[k, round(v, 3)] for k, v in job_seconds],
-    }
-
-
-def _measure(scale: float, jobs: int, shards: int | None = None) -> dict:
+def _measure(scale: float, jobs: int) -> dict:
     """One full measurement pass at ``scale``: suite, resume, hot paths."""
     t0 = time.perf_counter()
     workload = get_workload(WorkloadSettings(scale=scale))
@@ -195,12 +100,6 @@ def _measure(scale: float, jobs: int, shards: int | None = None) -> dict:
     compute_suite(workload, grid, jobs=jobs)
     resume_s = time.perf_counter() - t0
     cache_delta = cache.stats.delta(stats0)
-
-    sharded = (
-        _measure_sharded(workload, grid, suite, suite_s, shards, jobs)
-        if shards is not None and shards > 1
-        else None
-    )
 
     # one streaming pass measures the fetch unit and the i-cache model
     # separately (the counter's feed time is accounted by the shim); no
@@ -236,7 +135,6 @@ def _measure(scale: float, jobs: int, shards: int | None = None) -> dict:
         "trace_cache_seconds": round(tc_s, 3),
         "trace_cache_minstr_per_s": round(n_instructions / tc_s / 1e6, 3),
         "suite_n_instructions": suite.n_instructions,
-        "sharded": sharded,
         "trace_format": _trace_format_stats(workload.test_trace, n_instructions),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
@@ -252,20 +150,13 @@ def main(argv=None) -> None:
         help="also measure at this larger scale; nested under 'scale_up'",
     )
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="also run one cold sharded suite pass (repro.simulators.sharded) "
-        "at this shard count; nested under 'sharded'",
-    )
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_suite.json"))
     args = parser.parse_args(argv)
     jobs = resolve_jobs(args.jobs)
 
-    record = _measure(args.scale, jobs, args.shards)
+    record = _measure(args.scale, jobs)
     if args.scale_up is not None:
-        record["scale_up"] = _measure(args.scale_up, jobs, args.shards)
+        record["scale_up"] = _measure(args.scale_up, jobs)
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))

@@ -129,14 +129,6 @@ def standard_parser(description: str) -> argparse.ArgumentParser:
         help="worker processes for the evaluation suite (0 = all cores, default 1)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="partition the trace into this many shard spans and run the suite "
-        "shard-parallel (bit-identical to the fused pass; shards become the "
-        "checkpoint/resume unit; default: off)",
-    )
-    parser.add_argument(
         "--resume",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -163,7 +155,6 @@ def standard_parser(description: str) -> argparse.ArgumentParser:
 def suite_options_from_args(args) -> dict:
     """Fault-tolerance/observability kwargs threaded into the suite."""
     return {
-        "shards": args.shards,
         "resume": args.resume,
         "task_timeout": args.task_timeout,
         "manifest": args.manifest,

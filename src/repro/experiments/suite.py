@@ -67,12 +67,6 @@ from repro.simulators import (
     simulate_trace_cache,
 )
 from repro.simulators.fetch import MISS_PENALTY_CYCLES
-from repro.simulators.sharded import (
-    ShardError,
-    ShardTimeoutError,
-    plan_shards,
-    run_sharded,
-)
 from repro.tpcd.workload import Workload, WorkloadSettings
 from repro.util.progress import Progress
 
@@ -504,6 +498,25 @@ def _task_key(settings: WorkloadSettings, cache_sizes, task: _Task) -> tuple:
     return (settings, task)
 
 
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down and terminate and reap its workers.
+
+    ``shutdown`` alone leaves a worker that is stuck in a task (and its
+    idle siblings) running until the task returns; Python 3.11 has no
+    public ``terminate_workers``, so the workers are taken from the pool
+    before ``shutdown`` drops its reference to them.
+    """
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in workers:
+        proc.terminate()
+    for proc in workers:
+        proc.join(timeout=1.0)
+        if proc.is_alive():  # a forked worker may have inherited a SIGTERM handler
+            proc.kill()
+            proc.join()
+
+
 # Worker context for fork-based pools: set in the parent immediately before
 # the fork so children inherit the workload (and its trace arrays)
 # copy-on-write instead of receiving pickled copies.
@@ -567,13 +580,15 @@ def _run_parallel(
     *no* group completes for that long, the pending work is cancelled and
     :class:`SuiteTimeoutError` names the still-running tasks. If the pool
     itself breaks (a worker died hard), the unfinished tasks are returned
-    for in-parent serial execution instead of failing the run.
+    for in-parent serial execution instead of failing the run. On any
+    early exit the workers are terminated, so none outlives the call.
     """
     global _WORKER_CTX
     _WORKER_CTX = (workload, grid, cache_sizes)
     completed: set[_Task] = set()
     ctx = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
+    finished = False
     try:
         n_groups = max(n_workers, -(-len(tasks) // _FUSE_LIMIT))
         group_of = {
@@ -589,8 +604,6 @@ def _run_parallel(
                 labels = sorted(
                     _task_label(task) for f in not_done for task in group_of[f]
                 )
-                for f in not_done:
-                    f.cancel()
                 runlog.event("stall", tasks=labels, timeout=task_timeout)
                 prog.fail(f"stalled {task_timeout:.1f}s waiting on: {', '.join(labels)}")
                 raise SuiteTimeoutError(labels, task_timeout)
@@ -626,11 +639,10 @@ def _run_parallel(
                         group_of[retry] = [task]
                         pending.add(retry)
                     else:
-                        for f in pending:
-                            f.cancel()
                         runlog.task_failed(label, task[0], exc, attempts[task])
                         prog.fail(f"{label}: {exc!r}")
                         raise SuiteTaskError(task, label, exc) from exc
+        finished = True
         return []
     except BrokenProcessPool as exc:
         remaining = [t for t in tasks if t not in completed]
@@ -638,95 +650,11 @@ def _run_parallel(
         prog.fail(f"worker pool died ({exc!r}); running {len(remaining)} tasks serially")
         return remaining
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if finished:
+            pool.shutdown(wait=False, cancel_futures=True)
+        else:
+            _stop_workers(pool)
         _WORKER_CTX = None
-
-
-class _ShardCheckpoint:
-    """Adapter scoping :func:`run_sharded` job checkpoints into the
-    artifact cache (kind ``suite-shard``).
-
-    The prefix pins everything a shard payload depends on — workload
-    settings, cache sizes, the exact task set (stream composition; suite
-    streams always start cold) and the shard plan — so resumed runs only
-    ever reuse payloads that are bit-identical to a fresh computation.
-    """
-
-    def __init__(self, cache, prefix: tuple) -> None:
-        self._cache = cache
-        self._prefix = prefix
-
-    def load(self, key: tuple):
-        return self._cache.load("suite-shard", self._prefix + (key,))
-
-    def store(self, key: tuple, payload) -> None:
-        self._cache.store("suite-shard", self._prefix + (key,), payload)
-
-
-def _run_sharded_suite(
-    workload, grid, cache_sizes, tasks, settings, shards, jobs,
-    task_timeout, retries, on_done, runlog, prog, cache,
-):
-    """Run every missing task in one shard-parallel pass over the trace.
-
-    All tasks' fused streams join a single :func:`run_sharded` call, so
-    the checkpoint/retry/resume unit is the *shard job* rather than the
-    task: an interrupted run recomputes only the missing shard jobs and
-    relay steps. Payloads are finalized from the stitched streams with
-    the same arithmetic as the fused path, so results are bit-identical
-    for any shard/worker combination.
-    """
-    trace = workload.test_trace
-    memo: dict = {}
-    units = []
-    for task in tasks:
-        try:
-            pairs, finalize = _unit_for(workload, task, grid, cache_sizes, memo)
-        except Exception as exc:
-            label = _task_label(task)
-            runlog.task_failed(label, task[0], exc, 1)
-            prog.fail(f"{label}: {exc!r}")
-            raise SuiteTaskError(task, label, exc) from exc
-        units.append((task, pairs, finalize))
-    all_pairs = [pair for _, pairs, _ in units for pair in pairs]
-    plan = plan_shards(len(trace), shards=shards)
-    runlog.event(
-        "shard-plan",
-        shards=plan.n_shards,
-        chunk_events=plan.chunk_events,
-        bounds=list(plan.bounds),
-    )
-    checkpoint = None
-    if cache is not None:
-        prefix = (settings, tuple(cache_sizes), tuple(tasks), plan.signature())
-        checkpoint = _ShardCheckpoint(cache, prefix)
-
-    def on_job(key: tuple, source: str) -> None:
-        runlog.event("shard-job", job=list(key), source=source)
-
-    t0 = time.perf_counter()
-    try:
-        report = run_sharded(
-            trace, workload.program, all_pairs,
-            shards=plan, jobs=jobs, retries=retries,
-            task_timeout=task_timeout, checkpoint=checkpoint, on_job=on_job,
-        )
-    except ShardTimeoutError as exc:
-        labels = [repr(key) for key in exc.keys]
-        runlog.event("stall", tasks=labels, timeout=exc.timeout)
-        prog.fail(f"stalled {exc.timeout:.1f}s waiting on: {', '.join(labels)}")
-        raise SuiteTimeoutError(labels, exc.timeout) from exc
-    except ShardError as exc:
-        label = f"shard job {exc.key!r}"
-        runlog.task_failed(label, "shard", exc.cause, 1)
-        prog.fail(f"{label}: {exc.cause!r}")
-        raise SuiteTaskError(("shard", exc.key), label, exc.cause) from exc
-    if report.degraded:
-        runlog.event("pool-broken", remaining=0)
-    share = (time.perf_counter() - t0) / max(1, len(units))
-    for task, _, finalize in units:
-        on_done(task, finalize(), share, 1)
-    return report
 
 
 def compute_suite(
@@ -736,7 +664,6 @@ def compute_suite(
     tc_rows: tuple[tuple[int, int], ...] | None = None,
     progress: bool = False,
     jobs: int = 1,
-    shards: int | None = None,
     resume: bool = True,
     task_timeout: float | None = None,
     retries: int = 2,
@@ -746,11 +673,6 @@ def compute_suite(
 
     ``jobs > 1`` fans the (layout x geometry) tasks out over worker
     processes (fork platforms only); results are bit-identical to serial.
-    ``shards > 1`` switches the axis of parallelism from tasks to *trace
-    spans*: every missing task joins one shard-parallel pass
-    (:func:`repro.simulators.run_sharded`) whose shard jobs fan out over
-    ``jobs`` workers — still bit-identical, and the checkpoint/retry/
-    resume unit becomes the shard job instead of the task.
 
     With ``resume=True`` (the default) each completed task is
     checkpointed in the artifact cache and an interrupted or failed run
@@ -805,13 +727,7 @@ def compute_suite(
         if missing:
             # profile once in the parent: workers inherit it copy-on-write
             training_profile(workload)
-            if shards is not None and shards > 1:
-                _run_sharded_suite(
-                    workload, grid, cache_sizes, missing, settings, shards, jobs,
-                    task_timeout, retries, on_done, runlog, prog,
-                    cache if checkpointing else None,
-                )
-            elif (
+            if (
                 min(max(1, jobs), len(missing)) > 1
                 and "fork" in multiprocessing.get_all_start_methods()
             ):
@@ -875,7 +791,6 @@ def get_suite(
     tc_rows: tuple[tuple[int, int], ...] | None = None,
     progress: bool = False,
     jobs: int = 1,
-    shards: int | None = None,
     resume: bool = True,
     task_timeout: float | None = None,
     retries: int = 2,
@@ -885,15 +800,13 @@ def get_suite(
 
     Settings-stamped workloads key by their :class:`WorkloadSettings` (in
     memory and in the artifact cache); ad-hoc workloads key by instance —
-    never by ``id()``, which the garbage collector reuses. ``shards`` and
-    ``jobs`` only affect how a miss is computed, never the cache key:
-    sharded results are bit-identical to fused ones.
+    never by ``id()``, which the garbage collector reuses. ``jobs`` only
+    affects how a miss is computed, never the cache key: parallel results
+    are bit-identical to serial ones.
     """
     tc_rows = grid if tc_rows is None else tc_rows
     settings = workload.settings
-    fault_kwargs = dict(
-        shards=shards, resume=resume, task_timeout=task_timeout, retries=retries
-    )
+    fault_kwargs = dict(resume=resume, task_timeout=task_timeout, retries=retries)
     if settings is None:
         per_workload = _SUITES_ADHOC.setdefault(workload, {})
         key = (grid, tc_rows)
@@ -929,7 +842,6 @@ def suite_for(
     tc_rows: tuple[tuple[int, int], ...] | None = None,
     progress: bool = False,
     jobs: int = 1,
-    shards: int | None = None,
     resume: bool = True,
     task_timeout: float | None = None,
     retries: int = 2,
@@ -952,6 +864,6 @@ def suite_for(
     workload = get_workload(settings)
     return get_suite(
         workload, grid, tc_rows=tc_rows, progress=progress, jobs=jobs,
-        shards=shards, resume=resume, task_timeout=task_timeout,
-        retries=retries, manifest=manifest,
+        resume=resume, task_timeout=task_timeout, retries=retries,
+        manifest=manifest,
     )

@@ -85,13 +85,7 @@ class BlockTrace:
             np.cumsum(sizes[:-1], out=positions[1:])
         return positions
 
-    def iter_events(
-        self,
-        chunk_events: int,
-        *,
-        start_event: int = 0,
-        stop_event: int | None = None,
-    ) -> Iterator[tuple[np.ndarray, int | None]]:
+    def iter_events(self, chunk_events: int) -> Iterator[tuple[np.ndarray, int | None]]:
         """Yield ``(window, next_event)`` in windows of ``chunk_events``.
 
         ``next_event`` is the event just past the window (``None`` at end
@@ -99,23 +93,14 @@ class BlockTrace:
         sequentiality check. Stored traces
         (:class:`~repro.profiling.tracestore.TraceStore`) expose the same
         iterator, which is what lets the simulators stream either kind.
-
-        ``start_event``/``stop_event`` restrict iteration to the event
-        slice ``[start_event, stop_event)``; windows still fall at the
-        same absolute offsets as a full iteration would place them when
-        ``start_event`` is a multiple of ``chunk_events``, and the final
-        window's ``next_event`` peeks past ``stop_event`` into the
-        underlying stream — which is what makes shard-wise iteration
-        splice together bit-identically to one full pass.
         """
         if chunk_events <= 0:
             raise ValueError("chunk_events must be positive")
         events = self.events
         n = events.shape[0]
-        stop = n if stop_event is None else min(max(int(stop_event), 0), n)
-        start = min(max(int(start_event), 0), stop)
-        while start < stop:
-            end = min(start + chunk_events, stop)
+        start = 0
+        while start < n:
+            end = min(start + chunk_events, n)
             yield events[start:end], (int(events[end]) if end < n else None)
             start = end
 

@@ -336,45 +336,21 @@ class TraceStore:
 
     # -- streaming reads -------------------------------------------------
 
-    def _iter_stored(
-        self, start_event: int = 0, stop_event: int | None = None
-    ) -> Iterator[np.ndarray]:
-        """Decompress stored chunks, restricted to ``[start_event, stop_event)``.
-
-        The directory's per-chunk event counts locate the overlapping
-        chunks, so a slice near the end of a long trace never touches the
-        chunks before it — shard workers pay only for their own span.
-        """
+    def _iter_stored(self) -> Iterator[np.ndarray]:
+        """Decompress the stored chunks in order, checking each CRC."""
         records = self._ensure()
         if not records:
             return
-        stop = self._n_events if stop_event is None else min(stop_event, self._n_events)
-        if start_event >= stop:
-            return
-        pos = 0
         with open(self._path, "rb") as fh:
             with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
                 for offset, comp_size, n_events, crc, flags in records:
-                    lo, hi = pos, pos + n_events
-                    pos = hi
-                    if hi <= start_event:
-                        continue
-                    if lo >= stop:
-                        break
                     payload = mm[offset : offset + comp_size]
                     if len(payload) != comp_size or zlib.crc32(payload) != crc:
                         raise TraceFormatError(f"{self._path}: chunk CRC mismatch")
-                    arr = _decode_chunk(payload, n_events, flags)
-                    a = start_event - lo if lo < start_event else 0
-                    b = stop - lo if hi > stop else n_events
-                    yield arr if a == 0 and b == n_events else arr[a:b]
+                    yield _decode_chunk(payload, n_events, flags)
 
     def iter_events(
-        self,
-        chunk_events: int | None = None,
-        *,
-        start_event: int = 0,
-        stop_event: int | None = None,
+        self, chunk_events: int | None = None
     ) -> Iterator[tuple[np.ndarray, int | None]]:
         """Yield ``(window, next_event)`` in windows of ``chunk_events``.
 
@@ -384,25 +360,13 @@ class TraceStore:
         for their chunk-boundary sequentiality check. When the window
         size equals the stored chunk size (the default), stored chunks
         stream through without copying.
-
-        ``start_event``/``stop_event`` restrict iteration to the event
-        slice ``[start_event, stop_event)`` — the same contract as
-        :meth:`BlockTrace.iter_events`: the final window's ``next_event``
-        peeks one event past ``stop_event`` into the underlying stream,
-        and only the stored chunks overlapping the slice are decompressed.
         """
         window = chunk_events or self._chunk_events
         if window <= 0:
             raise ValueError("chunk_events must be positive")
         self._ensure()
         total = self._n_events
-        stop = total if stop_event is None else min(max(int(stop_event), 0), total)
-        start = min(max(int(start_event), 0), stop)
-        limit = stop - start
-        if limit == 0:
-            return
-        # decode one event past the slice: the final window's boundary peek
-        stored = self._iter_stored(start, min(stop + 1, total))
+        stored = self._iter_stored()
         buf: deque[np.ndarray] = deque()
         have = 0
         exhausted = False
@@ -419,8 +383,9 @@ class TraceStore:
                 have += arr.shape[0]
 
         emitted = 0
-        while emitted < limit:
-            take = min(window, limit - emitted)
+        while emitted < total:
+            take = min(window, total - emitted)
+            # keep one event past the window buffered: its boundary peek
             while have < take + 1 and not exhausted:
                 pull()
             parts: list[np.ndarray] = []

@@ -46,13 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite-engine worker processes per job (default 1: in-thread)",
     )
     parser.add_argument(
-        "--engine-shards",
-        type=int,
-        default=None,
-        help="default shard count for the engine's trace-parallel path "
-        "(jobs may override per spec; default: off)",
-    )
-    parser.add_argument(
         "--retries", type=int, default=2, help="per-task transient-failure retries (default 2)"
     )
     parser.add_argument(
@@ -89,7 +82,6 @@ async def amain(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         workers=args.workers,
         engine_jobs=args.engine_jobs,
-        engine_shards=args.engine_shards,
         retries=args.retries,
         task_timeout=args.task_timeout,
         max_upload_bytes=args.max_upload_mb * 1024 * 1024,

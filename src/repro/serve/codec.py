@@ -16,11 +16,10 @@ Two concerns live here, both deliberately boring:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cache import stable_digest
 from repro.experiments.config import CACHE_CFA_GRID
@@ -90,13 +89,8 @@ class JobSpec:
     grid: tuple[tuple[int, int], ...] = CACHE_CFA_GRID
     tc_rows: tuple[tuple[int, int], ...] | None = None
     trace_id: str | None = None
-    #: Shard count for the engine's trace-parallel path. Execution policy,
-    #: not workload identity: results are bit-identical for any value, so
-    #: :meth:`digest` ignores it and jobs differing only in ``shards``
-    #: dedupe onto one execution.
-    shards: int | None = None
 
-    _KEYS = ("scale", "seed", "kernel_seed", "grid", "tc_rows", "trace_id", "shards")
+    _KEYS = ("scale", "seed", "kernel_seed", "grid", "tc_rows", "trace_id")
 
     @classmethod
     def from_dict(cls, payload: object) -> "JobSpec":
@@ -117,10 +111,6 @@ class JobSpec:
             not isinstance(trace_id, str) or not _TRACE_ID_RE.fullmatch(trace_id)
         ):
             raise SpecError(f"'trace_id' must be a 40-hex-digit id, got {trace_id!r}")
-        shards = payload.get("shards")
-        if shards is not None:
-            if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-                raise SpecError(f"'shards' must be a positive integer, got {shards!r}")
         return cls(
             scale=scale,
             seed=_require_int(payload, "seed", 7),
@@ -128,7 +118,6 @@ class JobSpec:
             grid=grid if grid is not None else CACHE_CFA_GRID,
             tc_rows=_parse_rows(payload, "tc_rows"),
             trace_id=trace_id,
-            shards=shards,
         )
 
     @property
@@ -136,12 +125,8 @@ class JobSpec:
         return WorkloadSettings(scale=self.scale, seed=self.seed, kernel_seed=self.kernel_seed)
 
     def digest(self) -> str:
-        """Content address of this spec — the cross-tenant dedupe key.
-
-        ``shards`` is normalized away first: it selects *how* the engine
-        computes, never *what*, so equal work dedupes regardless of it.
-        """
-        return stable_digest(dataclasses.replace(self, shards=None))
+        """Content address of this spec — the cross-tenant dedupe key."""
+        return stable_digest(self)
 
     def as_dict(self) -> dict:
         return {
@@ -151,7 +136,6 @@ class JobSpec:
             "grid": [list(row) for row in self.grid],
             "tc_rows": None if self.tc_rows is None else [list(r) for r in self.tc_rows],
             "trace_id": self.trace_id,
-            "shards": self.shards,
         }
 
 

@@ -134,7 +134,6 @@ class JobManager:
         queue_limit: int = 16,
         workers: int = 2,
         engine_jobs: int = 1,
-        engine_shards: int | None = None,
         retries: int = 2,
         task_timeout: float | None = None,
         trace_path_for: Callable[[str], Path | None] | None = None,
@@ -146,7 +145,6 @@ class JobManager:
         self.queue_limit = queue_limit
         self.workers = workers
         self.engine_jobs = engine_jobs
-        self.engine_shards = engine_shards
         self.retries = retries
         self.task_timeout = task_timeout
         self._trace_path_for = trace_path_for or (lambda trace_id: None)
@@ -321,16 +319,12 @@ class JobManager:
 
     def _execute(self, spec: JobSpec, manifest: Path) -> dict:
         """Run one spec on the batch engine (called in a worker thread)."""
-        # per-job shard override beats the service-wide default; either
-        # way the result (and its digest) is bit-identical to unsharded
-        shards = spec.shards if spec.shards is not None else self.engine_shards
         if spec.trace_id is None:
             suite = suite_for(
                 spec.settings,
                 spec.grid,
                 tc_rows=spec.tc_rows,
                 jobs=self.engine_jobs,
-                shards=shards,
                 retries=self.retries,
                 task_timeout=self.task_timeout,
                 manifest=manifest,
@@ -358,7 +352,6 @@ class JobManager:
             spec.grid,
             tc_rows=spec.tc_rows,
             jobs=self.engine_jobs,
-            shards=shards,
             retries=self.retries,
             task_timeout=self.task_timeout,
             manifest=manifest,
@@ -379,7 +372,6 @@ class JobManager:
             "queue": {"depth": self._queue.qsize(), "limit": self.queue_limit},
             "workers": self.workers,
             "engine_jobs": self.engine_jobs,
-            "engine_shards": self.engine_shards,
             "jobs": {
                 **self.counters,
                 "queued": live_queued,

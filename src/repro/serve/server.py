@@ -139,7 +139,6 @@ class ServeApp:
         queue_limit: int = 16,
         workers: int = 2,
         engine_jobs: int = 1,
-        engine_shards: int | None = None,
         retries: int = 2,
         task_timeout: float | None = None,
         max_upload_bytes: int = MAX_UPLOAD_BYTES,
@@ -158,7 +157,6 @@ class ServeApp:
             queue_limit=queue_limit,
             workers=workers,
             engine_jobs=engine_jobs,
-            engine_shards=engine_shards,
             retries=retries,
             task_timeout=task_timeout,
             trace_path_for=self.traces.path_if_exists,

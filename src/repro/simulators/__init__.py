@@ -18,14 +18,6 @@ from repro.simulators.fetch import (
     simulate_fetch,
 )
 from repro.simulators.fused import run_fused
-from repro.simulators.sharded import (
-    ShardError,
-    ShardPlan,
-    ShardReport,
-    ShardTimeoutError,
-    plan_shards,
-    run_sharded,
-)
 from repro.simulators.tracecache import (
     TraceCacheConfig,
     TraceCacheResult,
@@ -50,12 +42,6 @@ __all__ = [
     "expand_chunk",
     "iter_chunk_contexts",
     "run_fused",
-    "ShardError",
-    "ShardPlan",
-    "ShardReport",
-    "ShardTimeoutError",
-    "plan_shards",
-    "run_sharded",
     "TraceCacheConfig",
     "simulate_trace_cache",
     "TraceCacheResult",

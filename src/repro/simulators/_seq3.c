@@ -7,8 +7,7 @@
  *                    (FetchStream.feed): two line numbers per fetch
  *   seq3_tc_walk     trace-cache walk over one chunk (TraceCacheStream.feed)
  *   seq3_victim_feed direct-mapped + LRU victim buffer (_VictimCounter)
- *   seq3_dm_feed     direct-mapped miss count, optional journal heads
- *                    (_DirectMappedCounter)
+ *   seq3_dm_feed     direct-mapped miss count (_DirectMappedCounter)
  *
  * The fetch length from a position is computed on demand, only at the
  * positions a walk visits, instead of for every instruction. The walks
@@ -23,7 +22,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define SEQ3_ABI 1
+#define SEQ3_ABI 2
 
 int64_t seq3_abi(void) { return SEQ3_ABI; }
 
@@ -224,11 +223,8 @@ int64_t seq3_victim_feed(const int64_t *lines, int64_t n, int64_t *primary,
     return misses;
 }
 
-/* Direct-mapped cache (tags -1 = cold). With head non-NULL, the first
- * line ever accessed in a cold set is recorded there (shard journal).
- * Returns the misses. */
-int64_t seq3_dm_feed(const int64_t *lines, int64_t n, int64_t *tags, int64_t n_sets,
-                     int64_t *head)
+/* Direct-mapped cache (tags -1 = cold). Returns the misses. */
+int64_t seq3_dm_feed(const int64_t *lines, int64_t n, int64_t *tags, int64_t n_sets)
 {
     const int64_t mask = is_pow2(n_sets) ? n_sets - 1 : -1;
     int64_t misses = 0;
@@ -237,8 +233,6 @@ int64_t seq3_dm_feed(const int64_t *lines, int64_t n, int64_t *tags, int64_t n_s
         const int64_t s = mask >= 0 ? line & mask : floor_mod(line, n_sets);
         if (tags[s] != line) {
             misses++;
-            if (head != NULL && tags[s] == -1)
-                head[s] = line;
             tags[s] = line;
         }
     }

@@ -113,33 +113,18 @@ def iter_chunk_contexts(
     trace: BlockTrace,
     program: Program,
     chunk_events: int = _DEFAULT_CHUNK_EVENTS,
-    *,
-    start_event: int = 0,
-    stop_event: int | None = None,
 ) -> Iterator[ChunkContext]:
     """Expand the trace into layout-independent chunk contexts.
 
     ``trace`` may be an in-memory :class:`BlockTrace` or an on-disk
     :class:`~repro.profiling.tracestore.TraceStore` — anything with the
     ``iter_events(chunk_events)`` windowed iterator.
-
-    ``start_event``/``stop_event`` restrict expansion to that event slice
-    (shard workers use this): when the bounds fall on window boundaries,
-    the contexts produced are bit-identical to the corresponding contexts
-    of a full iteration, including the boundary sequentiality peek past
-    ``stop_event``.
     """
     sizes = program.block_size.astype(np.int64)
     kinds = program.block_kind
     branchy = (kinds == BlockKind.BRANCH) | (kinds == BlockKind.CALL) | (kinds == BlockKind.RETURN)
 
-    if start_event or stop_event is not None:
-        windows = trace.iter_events(
-            chunk_events, start_event=start_event, stop_event=stop_event
-        )
-    else:
-        windows = trace.iter_events(chunk_events)
-    for ev, next_event in windows:
+    for ev, next_event in trace.iter_events(chunk_events):
         valid_idx = np.flatnonzero(ev != SEPARATOR)
         if valid_idx.size == 0:
             continue

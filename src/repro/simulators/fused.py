@@ -39,8 +39,6 @@ def run_fused(
     pairs: Sequence[tuple[Layout, object]],
     *,
     chunk_events: int = 2_000_000,
-    start_event: int = 0,
-    stop_event: int | None = None,
 ) -> None:
     """Feed every ``(layout, stream)`` pair in one pass over ``trace``.
 
@@ -50,11 +48,6 @@ def run_fused(
     Streams sharing the same layout *object* share the per-window
     expansion, and on the NumPy fallback, streams with equal
     ``line_bytes`` among those share the SEQ.3 fetch-length computation.
-
-    ``start_event``/``stop_event`` restrict the pass to that event slice
-    of the trace; the sharded engine (:mod:`repro.simulators.sharded`)
-    uses window-aligned slices so consecutive passes splice together
-    bit-identically to one full pass.
     """
     if not pairs:
         return
@@ -69,9 +62,7 @@ def run_fused(
         else:
             groups[at][1].append(stream)
 
-    for ctx in iter_chunk_contexts(
-        trace, program, chunk_events, start_event=start_event, stop_event=stop_event
-    ):
+    for ctx in iter_chunk_contexts(trace, program, chunk_events):
         for layout, streams in groups:
             chunk = expand_chunk(ctx, layout)
             lengths_for: dict[int, object] = {}

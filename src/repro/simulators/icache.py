@@ -29,7 +29,7 @@ The loop-literal references are in :mod:`repro.validate.oracles`.
 
 The native loops (:mod:`repro.simulators.native`) and the NumPy/Python
 fallback keep the same carried state, so ``state_dict()`` is the same on
-either backend and a counter may switch between them.
+either backend.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from repro.simulators import native
 __all__ = [
     "CacheConfig",
     "count_misses",
-    "counter_from_spec",
-    "counter_from_state",
-    "counter_spec",
     "miss_counter",
 ]
 
@@ -128,14 +125,8 @@ def _group_sorted(lines: np.ndarray, n_sets: int):
 class _MissCounter:
     """Base: a cache model carrying state across fed chunks.
 
-    Every concrete counter implements the sharding state protocol:
-    ``state_dict()``/``load_state()`` capture and restore the *complete*
-    carried state (including ``misses``), so a relay worker can resume a
-    counter mid-stream bit-identically. Counters built with
-    ``record_journal=True`` additionally capture the per-set boundary
-    facts (:meth:`shard_journal`) that let the sharded reconciliation
-    pass stitch an independently cold-started shard onto arbitrary
-    incoming state without replaying it.
+    ``state_dict()`` captures the complete carried state (including
+    ``misses``), so the two backends can be compared after any chunk.
     """
 
     __slots__ = ("misses",)
@@ -154,21 +145,18 @@ class _MissCounter:
 
 
 class _DirectMappedCounter(_MissCounter):
-    __slots__ = ("_tags", "_head")
+    __slots__ = ("_tags",)
 
     kind = "dm"
 
-    def __init__(self, n_sets: int, *, record_journal: bool = False) -> None:
+    def __init__(self, n_sets: int) -> None:
         super().__init__()
         self._tags = np.full(n_sets, -1, dtype=np.int64)
-        self._head = np.full(n_sets, -1, dtype=np.int64) if record_journal else None
 
     def _feed(self, lines: np.ndarray) -> None:
         kernel = native.active()
         if kernel is not None:
-            self.misses += kernel.dm_feed(
-                np.ascontiguousarray(lines, dtype=np.int64), self._tags, self._head
-            )
+            self.misses += kernel.dm_feed(np.ascontiguousarray(lines, dtype=np.int64), self._tags)
             return
         tags = self._tags
         _, sorted_sets, sorted_lines, first = _group_sorted(lines, tags.shape[0])
@@ -176,11 +164,6 @@ class _DirectMappedCounter(_MissCounter):
         miss[1:] = first[1:] | (sorted_lines[1:] != sorted_lines[:-1])
         first_idx = np.flatnonzero(first)
         miss[first_idx] = sorted_lines[first_idx] != tags[sorted_sets[first_idx]]
-        if self._head is not None:
-            # first access ever to a set (tag still cold): the only access
-            # whose hit/miss outcome depends on pre-shard state
-            fresh = first_idx[tags[sorted_sets[first_idx]] == -1]
-            self._head[sorted_sets[fresh]] = sorted_lines[fresh]
         self.misses += int(miss.sum())
         last_idx = np.concatenate((first_idx[1:] - 1, [lines.shape[0] - 1]))
         tags[sorted_sets[last_idx]] = sorted_lines[last_idx]
@@ -188,39 +171,19 @@ class _DirectMappedCounter(_MissCounter):
     def state_dict(self) -> dict:
         return {"kind": self.kind, "tags": self._tags.copy(), "misses": self.misses}
 
-    def load_state(self, state: dict) -> None:
-        self._tags[:] = state["tags"]
-        self.misses = int(state["misses"])
-
-    def shard_journal(self) -> dict:
-        """Boundary facts of a cold-started run: per touched set, the
-        first accessed line (``head``) and the final tag (``end``)."""
-        if self._head is None:
-            raise RuntimeError("counter was not built with record_journal=True")
-        touched = np.flatnonzero(self._tags != -1)
-        return {
-            "kind": self.kind,
-            "sets": touched,
-            "head": self._head[touched],
-            "end": self._tags[touched],
-            "misses": self.misses,
-        }
-
 
 class _TwoWayLRUCounter(_MissCounter):
     # carried per-set state: the last two entries of the set's run-compressed
     # access stream (w0 most recent); distinct negative sentinels keep the
     # cold-start "first two distinct accesses miss" behaviour
-    __slots__ = ("_w0", "_w1", "_c1", "_c2")
+    __slots__ = ("_w0", "_w1")
 
     kind = "lru2"
 
-    def __init__(self, n_sets: int, *, record_journal: bool = False) -> None:
+    def __init__(self, n_sets: int) -> None:
         super().__init__()
         self._w0 = np.full(n_sets, -1, dtype=np.int64)
         self._w1 = np.full(n_sets, -2, dtype=np.int64)
-        self._c1 = np.full(n_sets, -1, dtype=np.int64) if record_journal else None
-        self._c2 = np.full(n_sets, -1, dtype=np.int64) if record_journal else None
 
     def _feed(self, lines: np.ndarray) -> None:
         w0, w1 = self._w0, self._w1
@@ -253,21 +216,6 @@ class _TwoWayLRUCounter(_MissCounter):
         second = second[second < n]
         second = second[~g_first[second]]
         miss[second] = c_lines[second] != w0[c_sets[second]]
-        if self._c1 is not None:
-            # record each set's first two compressed entries of the whole
-            # run — the only accesses whose outcome depends on pre-run
-            # state. Pre-chunk w0 == -1 means no compressed entry yet;
-            # w1 == -1 means exactly one (the cold sentinels are -1/-2 and
-            # a rolled-forward w1 only ever takes value -1 from w0).
-            gs = c_sets[g_start]
-            first_ever = w0[gs] == -1
-            self._c1[gs[first_ever]] = c_lines[g_start[first_ever]]
-            second_ever = ~first_ever & (w1[gs] == -1)
-            self._c2[gs[second_ever]] = c_lines[g_start[second_ever]]
-            if second.size:
-                ss = c_sets[second]
-                both_here = w0[ss] == -1
-                self._c2[ss[both_here]] = c_lines[second[both_here]]
         self.misses += int(miss.sum())
         # roll the carried state forward to each set's last two entries
         g_last = np.concatenate((g_start[1:] - 1, [n - 1]))
@@ -282,28 +230,6 @@ class _TwoWayLRUCounter(_MissCounter):
             "kind": self.kind,
             "w0": self._w0.copy(),
             "w1": self._w1.copy(),
-            "misses": self.misses,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._w0[:] = state["w0"]
-        self._w1[:] = state["w1"]
-        self.misses = int(state["misses"])
-
-    def shard_journal(self) -> dict:
-        """Boundary facts of a cold-started run: per touched set, the
-        first two compressed entries (``c2`` is -1 when only one exists)
-        and the final compressed pair (``w1`` is -1 in the same case)."""
-        if self._c1 is None:
-            raise RuntimeError("counter was not built with record_journal=True")
-        touched = np.flatnonzero(self._w0 != -1)
-        return {
-            "kind": self.kind,
-            "sets": touched,
-            "c1": self._c1[touched],
-            "c2": self._c2[touched],
-            "w0": self._w0[touched],
-            "w1": self._w1[touched],
             "misses": self.misses,
         }
 
@@ -373,14 +299,9 @@ class _VictimCounter(_MissCounter):
                 while len(victim) > capacity:
                     del victim[next(iter(victim))]
             primary[s] = line
-        self._set_victim(list(victim))
+        self._vlen = len(victim)
+        self._vbuf[: self._vlen] = list(victim)
         self.misses += misses
-
-    def _set_victim(self, lines: list) -> None:
-        if len(lines) > self._capacity:
-            raise ValueError(f"{len(lines)} victim lines exceed capacity {self._capacity}")
-        self._vbuf[: len(lines)] = lines
-        self._vlen = len(lines)
 
     def state_dict(self) -> dict:
         return {
@@ -390,53 +311,3 @@ class _VictimCounter(_MissCounter):
             "capacity": self._capacity,
             "misses": self.misses,
         }
-
-    def load_state(self, state: dict) -> None:
-        self._primary[:] = state["primary"]
-        self._capacity = int(state["capacity"])
-        self._vbuf = np.zeros(self._capacity + 1, dtype=np.int64)
-        self._set_victim(list(state["victim"]))
-        self.misses = int(state["misses"])
-
-
-# -- sharding construction protocol --------------------------------------
-
-
-def counter_spec(counter: _MissCounter) -> tuple:
-    """A picklable recipe for building a cold twin of ``counter``."""
-    if isinstance(counter, _DirectMappedCounter):
-        return ("dm", counter._tags.shape[0])
-    if isinstance(counter, _TwoWayLRUCounter):
-        return ("lru2", counter._w0.shape[0])
-    if isinstance(counter, _VictimCounter):
-        return ("victim", counter._primary.shape[0], counter._capacity)
-    raise TypeError(f"not a miss counter: {type(counter).__name__}")
-
-
-def counter_from_spec(spec: tuple, *, record_journal: bool = False) -> _MissCounter:
-    """Build a cold counter from a :func:`counter_spec` recipe."""
-    kind = spec[0]
-    if kind == "dm":
-        return _DirectMappedCounter(spec[1], record_journal=record_journal)
-    if kind == "lru2":
-        return _TwoWayLRUCounter(spec[1], record_journal=record_journal)
-    if kind == "victim":
-        if record_journal:
-            raise ValueError("victim counters have no shard journal; relay them")
-        return _VictimCounter(spec[1], spec[2])
-    raise ValueError(f"unknown counter spec {spec!r}")
-
-
-def counter_from_state(state: dict) -> _MissCounter:
-    """Reconstruct a counter, state and all, from a ``state_dict()``."""
-    kind = state["kind"]
-    if kind == "dm":
-        counter = _DirectMappedCounter(len(state["tags"]))
-    elif kind == "lru2":
-        counter = _TwoWayLRUCounter(len(state["w0"]))
-    elif kind == "victim":
-        counter = _VictimCounter(len(state["primary"]), int(state["capacity"]))
-    else:
-        raise ValueError(f"unknown counter state kind {kind!r}")
-    counter.load_state(state)
-    return counter

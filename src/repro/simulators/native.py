@@ -14,7 +14,7 @@ When the kernel cannot be built or loaded (no compiler, a build error, a
 load error) the simulators use their NumPy/Python paths instead; the
 reason is kept in :func:`status`, which run manifests and the service's
 ``/v1/metrics`` report. Both backends produce bit-identical results and
-carry state in the same format, so a stream may switch between them.
+carry state in the same format (``state_dict()``).
 :func:`use` selects a backend for a block of code (the differential
 harness and the tests run every available backend this way).
 """
@@ -44,7 +44,7 @@ __all__ = ["Kernel", "available_backends", "load", "active", "status", "use"]
 
 SOURCE = Path(__file__).with_name("_seq3.c")
 #: Must equal ``SEQ3_ABI`` in the C source; checked after loading.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -56,7 +56,7 @@ _SIGNATURES = {
         _I64, _I64, _I64, _I64, _I64, _PTR, _I64, _PTR,
     ],
     "seq3_victim_feed": [_PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64],
-    "seq3_dm_feed": [_PTR, _I64, _PTR, _I64, _PTR],
+    "seq3_dm_feed": [_PTR, _I64, _PTR, _I64],
 }
 
 
@@ -195,18 +195,13 @@ class Kernel:
         )
         return misses, length.value
 
-    def dm_feed(self, lines, tags, head=None) -> int:
-        """Direct-mapped feed: misses; ``tags`` (and ``head``) in place."""
+    def dm_feed(self, lines, tags) -> int:
+        """Direct-mapped feed: misses; ``tags`` updated in place."""
         n = _check_len(lines, "lines")
         pl = _ptr(lines, np.int64, "lines")
         pt = _ptr(tags, np.int64, "tags", writable=True)
         _positive(n_sets=_check_len(tags, "tags"))
-        ph = None
-        if head is not None:
-            ph = _ptr(head, np.int64, "head", writable=True)
-            if head.shape != tags.shape:
-                raise ValueError("head must have the shape of tags")
-        return self._lib.seq3_dm_feed(pl, n, pt, tags.shape[0], ph)
+        return self._lib.seq3_dm_feed(pl, n, pt, tags.shape[0])
 
 
 # -- build and load --------------------------------------------------------

@@ -246,10 +246,6 @@ class TraceCacheStream:
         return [tuple(row) if row[3] else None for row in self._entries.tolist()]
 
     def _set_entries(self, entries: list) -> None:
-        if len(entries) != self.config.n_entries:
-            raise ValueError(
-                f"state has {len(entries)} entries, config wants {self.config.n_entries}"
-            )
         self._entries = np.array(
             [entry if entry is not None else (0, 0, 0, 0) for entry in entries],
             dtype=np.int64,
@@ -262,9 +258,8 @@ class TraceCacheStream:
     def state_dict(self) -> dict:
         """Complete carried state (counters + entry array), picklable.
 
-        Consumers and collected miss-line chunks are intentionally
-        excluded: the sharded relay carries consumer states separately
-        and accumulates line chunks per shard.
+        Consumers and collected miss-line chunks are excluded; consumers
+        report their own ``state_dict()``.
         """
         return {
             "n_instructions": self.n_instructions,
@@ -273,13 +268,6 @@ class TraceCacheStream:
             "n_taken": self.n_taken,
             "entries": self._entry_list(),
         }
-
-    def load_state(self, state: dict) -> None:
-        self._set_entries(list(state["entries"]))
-        self.n_instructions = int(state["n_instructions"])
-        self.n_hits = int(state["n_hits"])
-        self.n_misses = int(state["n_misses"])
-        self.n_taken = int(state["n_taken"])
 
     def result(self) -> TraceCacheResult:
         return TraceCacheResult(

@@ -1,17 +1,15 @@
 """Differential harness: production simulators vs. loop-literal oracles.
 
 For every generated case the harness runs the production code through
-*all three* of its entry points — the one-shot simulators
+both of its entry points — the one-shot simulators
 (:func:`~repro.simulators.fetch.simulate_fetch`,
-:func:`~repro.simulators.tracecache.simulate_trace_cache`), the fused
+:func:`~repro.simulators.tracecache.simulate_trace_cache`) and the fused
 streaming driver (:func:`~repro.simulators.fused.run_fused` feeding
-incremental streams with attached i-cache miss counters), and the
-shard-parallel driver (:func:`~repro.simulators.sharded.run_sharded`,
-with a shard count derived from the case seed so coverage spans 1..n
-window partitions) — and the oracles of :mod:`repro.validate.oracles`,
-then compares every counter exactly: instruction/fetch/taken counts, the
-full line-access stream, and the miss count of each cache organization
-(fused, sharded and batched against the oracle). :func:`run_differential`
+incremental streams with attached i-cache miss counters) — and the
+oracles of :mod:`repro.validate.oracles`, then compares every counter
+exactly: instruction/fetch/taken counts, the full line-access stream,
+and the miss count of each cache organization (fused and batched against
+the oracle). :func:`run_differential`
 repeats every case on each available simulator backend (the native
 kernel and the NumPy/Python fallback, :mod:`repro.simulators.native`).
 Any mismatch becomes a :class:`Divergence` carrying the case's
@@ -28,7 +26,6 @@ from repro.simulators.fetch import FetchStream, simulate_fetch
 from repro.simulators.fused import run_fused
 from repro.simulators import native
 from repro.simulators.icache import CacheConfig, count_misses, miss_counter
-from repro.simulators.sharded import run_sharded
 from repro.simulators.tracecache import TraceCacheStream, simulate_trace_cache
 from repro.validate.generators import GeneratedCase, random_case
 from repro.validate.oracles import (
@@ -81,12 +78,6 @@ def _concat(chunks) -> list:
     return np.concatenate(chunks).tolist() if len(chunks) > 1 else chunks[0].tolist()
 
 
-def _case_shards(case: GeneratedCase) -> int:
-    """Deterministic per-case shard count in 2..4 (the plan clamps to the
-    window count, so degenerate single-window cases are covered too)."""
-    return 2 + case.seed % 3
-
-
 def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
     """Diff the SEQ.3 fetch unit + i-cache models on one case."""
     line_bytes = case.cache_configs[0].line_bytes
@@ -104,17 +95,6 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         [(case.layout, fused_stream)],
         chunk_events=case.chunk_events,
     )
-    sharded_counters = [miss_counter(config) for config in case.cache_configs]
-    sharded_stream = FetchStream(
-        case.layout.name, line_bytes=line_bytes, consumers=sharded_counters, collect_lines=True
-    )
-    run_sharded(
-        case.trace,
-        case.program,
-        [(case.layout, sharded_stream)],
-        chunk_events=case.chunk_events,
-        shards=_case_shards(case),
-    )
 
     info = case.describe()
     out: list[Divergence] = []
@@ -123,21 +103,17 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         if production != oracle:
             out.append(Divergence(case=info, counter=counter, production=production, oracle=oracle))
 
-    for path, result in (
-        ("one_shot", one_shot), ("fused", fused_stream), ("sharded", sharded_stream)
-    ):
+    for path, result in (("one_shot", one_shot), ("fused", fused_stream)):
         check(f"fetch.{path}.n_instructions", result.n_instructions, ora.n_instructions)
         check(f"fetch.{path}.n_fetches", result.n_fetches, ora.n_fetches)
         check(f"fetch.{path}.n_taken", result.n_taken, ora.n_taken)
     check("fetch.one_shot.lines", _concat(one_shot.line_chunks), ora.lines)
     check("fetch.fused.lines", _concat(fused_stream.line_chunks), ora.lines)
-    check("fetch.sharded.lines", _concat(sharded_stream.line_chunks), ora.lines)
 
-    for config, counter, sharded in zip(case.cache_configs, counters, sharded_counters):
+    for config, counter in zip(case.cache_configs, counters):
         label = _config_label(config)
         expected = _oracle_misses(ora.lines, config)
         check(f"icache.fused.{label}", counter.misses, expected)
-        check(f"icache.sharded.{label}", sharded.misses, expected)
         check(f"icache.batched.{label}", count_misses(one_shot.line_chunks, config), expected)
     return out
 
@@ -165,21 +141,6 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
         [(case.layout, fused_stream)],
         chunk_events=case.chunk_events,
     )
-    sharded_counters = [miss_counter(config) for config in case.cache_configs]
-    sharded_stream = TraceCacheStream(
-        case.layout.name,
-        case.tc_config,
-        line_bytes=line_bytes,
-        consumers=sharded_counters,
-        collect_lines=True,
-    )
-    run_sharded(
-        case.trace,
-        case.program,
-        [(case.layout, sharded_stream)],
-        chunk_events=case.chunk_events,
-        shards=_case_shards(case),
-    )
 
     info = case.describe()
     out: list[Divergence] = []
@@ -188,22 +149,18 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
         if production != oracle:
             out.append(Divergence(case=info, counter=counter, production=production, oracle=oracle))
 
-    for path, result in (
-        ("one_shot", one_shot), ("fused", fused_stream), ("sharded", sharded_stream)
-    ):
+    for path, result in (("one_shot", one_shot), ("fused", fused_stream)):
         check(f"tc.{path}.n_instructions", result.n_instructions, ora.n_instructions)
         check(f"tc.{path}.n_hits", result.n_hits, ora.n_hits)
         check(f"tc.{path}.n_misses", result.n_misses, ora.n_misses)
         check(f"tc.{path}.n_taken", result.n_taken, ora.n_taken)
     check("tc.one_shot.miss_lines", _concat(one_shot.miss_line_chunks), ora.miss_lines)
     check("tc.fused.miss_lines", _concat(fused_stream.miss_line_chunks), ora.miss_lines)
-    check("tc.sharded.miss_lines", _concat(sharded_stream.miss_line_chunks), ora.miss_lines)
 
-    for config, counter, sharded in zip(case.cache_configs, counters, sharded_counters):
+    for config, counter in zip(case.cache_configs, counters):
         label = _config_label(config)
         expected = _oracle_misses(ora.miss_lines, config)
         check(f"tc.icache.fused.{label}", counter.misses, expected)
-        check(f"tc.icache.sharded.{label}", sharded.misses, expected)
         check(
             f"tc.icache.batched.{label}",
             count_misses(one_shot.miss_line_chunks, config),

@@ -18,12 +18,7 @@ production to the oracles, so the laws get bit-exact semantics for free):
   how much other sequence code the trace interleaves;
 * **fused group split** — :func:`~repro.simulators.fused.run_fused` over
   any partition of the (layout, stream) pairs equals the one-shot
-  simulators, stream for stream;
-* **shard split** — :func:`~repro.simulators.sharded.run_sharded` over
-  any window-aligned partition of the *trace* (any shard count from the
-  degenerate single shard up to one shard per window, serial or with
-  worker processes) equals one fused pass, counters and carried state
-  alike.
+  simulators, stream for stream.
 
 Every law is exercised both at a tiny simulation window (so fetch and
 fill windows truncate at chunk boundaries many times per trace) and at a
@@ -46,7 +41,6 @@ from repro.simulators import native
 from repro.simulators.fetch import FetchStream, simulate_fetch
 from repro.simulators.fused import run_fused
 from repro.simulators.icache import CacheConfig, count_misses, miss_counter
-from repro.simulators.sharded import run_sharded
 from repro.simulators.tracecache import TraceCacheStream, simulate_trace_cache
 from repro.validate.generators import (
     random_cache_configs,
@@ -63,7 +57,6 @@ __all__ = [
     "law_cold_permutation",
     "law_concat_vs_chunked",
     "law_fused_group_split",
-    "law_shard_split",
     "run_laws",
 ]
 
@@ -391,113 +384,6 @@ def law_fused_group_split(rng: np.random.Generator, chunk_events: int) -> list[s
     return violations
 
 
-# -- law 5: sharded trace-split results ≡ one fused pass -------------------
-
-
-def _state_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_state_equal(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray):
-        return a.shape == b.shape and bool((a == b).all())
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(_state_equal(x, y) for x, y in zip(a, b))
-    return a == b
-
-
-def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
-    """Sharded simulation is invariant to the shard partition and equal to
-    one fused pass — counters *and* carried state (per-set cache tags,
-    victim buffer, trace-cache entries)."""
-    program = random_program(rng)
-    trace = random_trace(rng, program)
-    layouts = [
-        random_layout(rng, program, name=f"L{i}") for i in range(int(rng.integers(1, 3)))
-    ]
-    configs = random_cache_configs(rng)
-    tc_config = random_trace_cache_config(rng)
-    line_bytes = configs[0].line_bytes
-
-    def build_units():
-        units = []
-        for layout in layouts:
-            fetch_counters = [miss_counter(config) for config in configs]
-            units.append(
-                (
-                    layout,
-                    FetchStream(layout.name, line_bytes=line_bytes, consumers=fetch_counters),
-                    fetch_counters,
-                    "fetch",
-                )
-            )
-            tc_counters = [miss_counter(config) for config in configs]
-            units.append(
-                (
-                    layout,
-                    TraceCacheStream(
-                        layout.name, tc_config, line_bytes=line_bytes, consumers=tc_counters
-                    ),
-                    tc_counters,
-                    "tc",
-                )
-            )
-        return units
-
-    def observe(units) -> list[tuple]:
-        out = []
-        for _, stream, counters, kind in units:
-            sig = (
-                _fetch_signature(stream, counters)
-                if kind == "fetch"
-                else _tc_signature(stream, counters)
-            )
-            states = [counter.state_dict() for counter in counters]
-            if kind == "tc":
-                states.append(stream.state_dict())
-            out.append((sig, states))
-        return out
-
-    fused = build_units()
-    run_fused(
-        trace,
-        program,
-        [(layout, stream) for layout, stream, _, _ in fused],
-        chunk_events=chunk_events,
-    )
-    reference = observe(fused)
-
-    n_windows = max(1, -(-len(trace) // chunk_events))
-    shard_counts = sorted({1, int(rng.integers(1, n_windows + 2)), n_windows})
-    violations: list[str] = []
-    for shards in shard_counts:
-        jobs = int(rng.integers(1, 3))
-        sharded = build_units()
-        run_sharded(
-            trace,
-            program,
-            [(layout, stream) for layout, stream, _, _ in sharded],
-            chunk_events=chunk_events,
-            shards=shards,
-            jobs=jobs,
-        )
-        for unit, (ref_sig, ref_states), (sig, states) in zip(
-            fused, reference, observe(sharded)
-        ):
-            _, stream, _, kind = unit
-            if sig != ref_sig:
-                violations.append(
-                    f"sharded (shards={shards}, jobs={jobs}) {kind} stream "
-                    f"{stream.layout_name!r}: {sig} != fused {ref_sig}"
-                )
-            elif not _state_equal(states, ref_states):
-                violations.append(
-                    f"sharded (shards={shards}, jobs={jobs}) {kind} stream "
-                    f"{stream.layout_name!r}: carried state diverged from fused"
-                )
-    return violations
-
-
 def run_laws(seed: int, rounds: int = 12) -> tuple[int, list[dict]]:
     """Run every law ``rounds`` times at each window size; each case runs
     on every available simulator backend.
@@ -511,7 +397,6 @@ def run_laws(seed: int, rounds: int = 12) -> tuple[int, list[dict]]:
         "cold_permutation": law_cold_permutation,
         "cfa_conflict_free": law_cfa_conflict_free,
         "fused_group_split": law_fused_group_split,
-        "shard_split": law_shard_split,
     }
     case_seeds = np.random.SeedSequence(seed).generate_state(rounds)
     n_cases = 0

@@ -12,6 +12,7 @@ per-task failure while the rest of the group proceeds.
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import time
 
@@ -26,7 +27,6 @@ from repro.experiments.suite import (
     SuiteTimeoutError,
     compute_suite,
 )
-from repro.simulators import sharded as sharded_mod
 from repro.tpcd.workload import WorkloadSettings
 from repro.util.progress import Progress
 
@@ -35,7 +35,6 @@ GRID = PRIMARY_ROWS[:2]
 FAIL_TASK = ("row", GRID[1])
 
 REAL_UNIT = suite_mod._unit_for
-REAL_FAMILY = sharded_mod._family_shard
 
 
 @pytest.fixture(scope="module")
@@ -192,17 +191,27 @@ def test_hanging_parallel_task_raises_timeout_naming_it(workload, tmp_path, monk
 
     def hanging(wl, task, grid, cache_sizes, layout_memo=None):
         if task == hang_task:
-            time.sleep(8)  # bounded so the orphaned worker exits by session end
+            time.sleep(30)
         return REAL_UNIT(wl, task, grid, cache_sizes, layout_memo)
 
     monkeypatch.setattr(suite_mod, "_unit_for", hanging)
     manifest = tmp_path / "stall.json"
+    before = {p.pid for p in multiprocessing.active_children()}
     with pytest.raises(SuiteTimeoutError) as excinfo:
         compute_suite(workload, GRID, jobs=2, task_timeout=2.5, manifest=manifest)
     assert suite_mod._task_label(hang_task) in str(excinfo.value)
     data = json.loads(manifest.read_text())
     assert data["status"] == "failed"
     assert any(e["type"] == "stall" for e in data["events"])
+
+    # the hung worker and its idle sibling do not outlive the raise
+    deadline = time.monotonic() + 3.0
+    while True:
+        workers = [p for p in multiprocessing.active_children() if p.pid not in before]
+        if not workers or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    assert workers == []
 
 
 def test_dead_worker_pool_degrades_to_serial(workload, tmp_path, monkeypatch):
@@ -247,95 +256,6 @@ def test_empty_grid_is_an_empty_run(workload, tmp_path):
     data = json.loads(manifest.read_text())
     assert data["status"] == "completed"
     assert data["n_tasks"] == 0 and data["tasks"] == []
-
-
-# -- sharded execution: the shard job is the checkpoint/resume unit ------
-
-
-def _shard_checkpoint_files():
-    return list(default_cache().root.rglob("suite-shard/*.pkl"))
-
-
-def test_sharded_suite_is_bit_identical_to_serial(workload, tmp_path):
-    manifest = tmp_path / "sharded.json"
-    sharded = compute_suite(workload, GRID, jobs=1, shards=4, manifest=manifest)
-    fresh = compute_suite(workload, GRID, jobs=1, resume=False)
-    assert _flatten(sharded) == _flatten(fresh)
-    data = json.loads(manifest.read_text())
-    assert data["status"] == "completed"
-    plans = [e for e in data["events"] if e["type"] == "shard-plan"]
-    assert len(plans) == 1
-    shard_jobs = [e for e in data["events"] if e["type"] == "shard-job"]
-    assert shard_jobs and all(e["source"] == "computed" for e in shard_jobs)
-    assert len(_shard_checkpoint_files()) == len(shard_jobs)
-
-
-def test_sharded_failure_resumes_recomputing_only_missing_shards(
-    workload, tmp_path, monkeypatch
-):
-    def boom(trace, program, layouts, chunk_events, plan, specs, shard_idx):
-        if shard_idx == plan.n_shards - 1:
-            raise ValueError("injected mid-shard failure")
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
-
-    monkeypatch.setattr(sharded_mod, "_family_shard", boom)
-    with pytest.raises(SuiteTaskError) as excinfo:
-        compute_suite(workload, GRID, jobs=1, shards=2)
-    assert excinfo.value.task[0] == "shard"
-    survived = len(_shard_checkpoint_files())
-    assert survived > 0  # shard jobs finished before the crash are kept
-
-    monkeypatch.setattr(sharded_mod, "_family_shard", REAL_FAMILY)
-    manifest = tmp_path / "shard-resume.json"
-    resumed = compute_suite(workload, GRID, jobs=1, shards=2, manifest=manifest)
-    fresh = compute_suite(workload, GRID, jobs=1, resume=False)
-    assert _flatten(resumed) == _flatten(fresh)
-    data = json.loads(manifest.read_text())
-    sources = [e["source"] for e in data["events"] if e["type"] == "shard-job"]
-    assert sources.count("checkpoint") == survived
-    assert sources.count("computed") == len(sources) - survived > 0
-
-
-def test_sharded_transient_failure_retries_then_succeeds(
-    workload, tmp_path, monkeypatch
-):
-    marker = tmp_path / "failed-once"  # cross-process: workers are forks
-
-    def flaky(trace, program, layouts, chunk_events, plan, specs, shard_idx):
-        if shard_idx == 0 and not marker.exists():
-            marker.write_text("x")
-            raise OSError("injected transient shard failure")
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
-
-    monkeypatch.setattr(sharded_mod, "_family_shard", flaky)
-    result = compute_suite(workload, GRID, jobs=1, shards=2, retries=2)
-    assert marker.exists()
-
-    monkeypatch.setattr(sharded_mod, "_family_shard", REAL_FAMILY)
-    fresh = compute_suite(workload, GRID, jobs=1, resume=False)
-    assert _flatten(result) == _flatten(fresh)
-
-
-def test_sharded_dead_worker_pool_degrades_and_stays_identical(
-    workload, tmp_path, monkeypatch
-):
-    parent = os.getpid()
-
-    def killer(trace, program, layouts, chunk_events, plan, specs, shard_idx):
-        if shard_idx == 0 and os.getpid() != parent:
-            os._exit(3)  # hard worker death: no exception crosses the pipe
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
-
-    monkeypatch.setattr(sharded_mod, "_family_shard", killer)
-    manifest = tmp_path / "shard-pool.json"
-    result = compute_suite(workload, GRID, jobs=2, shards=2, manifest=manifest)
-
-    monkeypatch.setattr(sharded_mod, "_family_shard", REAL_FAMILY)
-    fresh = compute_suite(workload, GRID, jobs=1, resume=False)
-    assert _flatten(result) == _flatten(fresh)
-    data = json.loads(manifest.read_text())
-    assert data["status"] == "completed"
-    assert any(e["type"] == "pool-broken" for e in data["events"])
 
 
 # -- progress accounting under retries -----------------------------------

@@ -59,6 +59,7 @@ def test_equal_specs_share_a_digest():
         {"trace_id": "xyz"},
         {"trace_id": "ABC123"},
         {"trace_id": 42},
+        {"shards": 2},  # removed field: strict validation names it
     ],
     ids=repr,
 )

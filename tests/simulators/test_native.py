@@ -3,8 +3,6 @@
 * a Hypothesis **property**: on generated programs, layouts and traces,
   the native kernel, the NumPy/Python fallback and the loop-literal
   oracles agree on every counter, line stream and piece of carried state;
-* carried state is **backend-agnostic**: a stream fed half a trace on one
-  backend resumes on the other from ``state_dict()`` bit-identically;
 * the ctypes **wrappers** refuse arrays that are unsafe to pass as raw
   pointers;
 * the **loader** falls back (and says why) when the compiler is missing
@@ -211,64 +209,7 @@ def test_empty_chunks_change_nothing(backend):
     _assert_state_equal(tc.state_dict(), before)
 
 
-# -- backend-agnostic carried state -----------------------------------------
-
-
-def _resume_case():
-    rng = np.random.default_rng(7)
-    program = random_program(rng)
-    layout = random_layout(rng, program)
-    trace = random_trace(rng, program, max_events=2000)
-    while len(trace) < 200:
-        trace = random_trace(rng, program, max_events=2000)
-    return program, layout, trace
-
-
-def _streams(layout, configs, tc_config):
-    fetch = FetchStream(layout.name, consumers=[miss_counter(c) for c in configs])
-    tc = TraceCacheStream(layout.name, tc_config, consumers=[miss_counter(c) for c in configs])
-    return fetch, tc
-
-
-@requires_native
-@pytest.mark.parametrize("first,second", [("native", "python"), ("python", "native")])
-def test_state_resumes_across_backends(first, second):
-    """Half a trace on one backend, ``state_dict`` -> ``load_state`` into
-    fresh streams, the rest on the other: the same counters and state as
-    one full run."""
-    program, layout, trace = _resume_case()
-    configs = _configs(32, 8, 4)
-    tc_config = TraceCacheConfig(n_entries=16)
-    chunk_events = 50
-    mid = (len(trace) // chunk_events // 2) * chunk_events
-
-    full = _streams(layout, configs, tc_config)
-    run_fused(trace, program, [(layout, s) for s in full], chunk_events=chunk_events)
-
-    head = _streams(layout, configs, tc_config)
-    with native.use(first):
-        run_fused(
-            trace, program, [(layout, s) for s in head],
-            chunk_events=chunk_events, stop_event=mid,
-        )
-    tail = _streams(layout, configs, tc_config)
-    tail[1].load_state(head[1].state_dict())
-    for stream_head, stream_tail in zip(head, tail):
-        for a, b in zip(stream_head.consumers, stream_tail.consumers):
-            b.load_state(a.state_dict())
-    with native.use(second):
-        run_fused(
-            trace, program, [(layout, s) for s in tail],
-            chunk_events=chunk_events, start_event=mid,
-        )
-
-    assert tail[0].n_fetches + head[0].n_fetches == full[0].n_fetches
-    assert (tail[1].n_hits, tail[1].n_misses) == (full[1].n_hits, full[1].n_misses)
-    _assert_state_equal(tail[1].state_dict(), full[1].state_dict())
-    for stream_tail, stream_full in zip(tail, full):
-        for a, b in zip(stream_tail.consumers, stream_full.consumers):
-            assert a.misses == b.misses
-            _assert_state_equal(a.state_dict(), b.state_dict())
+# -- carried state ----------------------------------------------------------
 
 
 def test_victim_state_has_no_last_array():
@@ -315,8 +256,6 @@ def test_wrappers_reject_unsafe_arrays():
         kernel.dm_feed(lines.astype(np.float64), tags)
     with pytest.raises(TypeError):
         kernel.dm_feed(lines, tags.astype(np.int32))
-    with pytest.raises(ValueError):
-        kernel.dm_feed(lines, tags, np.full(3, -1, dtype=np.int64))
     with pytest.raises(ValueError):
         kernel.victim_feed(lines, tags, np.zeros(4, dtype=np.int64), 0, 4)
     # sizes the C code divides by: a clear error, never a crash

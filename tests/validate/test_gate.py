@@ -71,7 +71,7 @@ def test_run_validation_report_schema():
     assert report["schema_version"] == 1
     assert report["seed"] == 0
     assert report["differential"]["cases"] == 5
-    assert report["laws"]["cases"] == 1 * 5 * 2  # 5 laws x 2 window settings
+    assert report["laws"]["cases"] == 1 * 4 * 2  # 4 laws x 2 window settings
     assert "paper_shape" not in report
     assert report["passed"] is True
     json.dumps(report)  # the report must serialize as-is
